@@ -40,6 +40,7 @@ const char* rank_name(Rank r) {
     case Rank::worker_threads: return "worker_threads";
     case Rank::worker_cancels: return "worker_cancels";
     case Rank::worker_libraries: return "worker_libraries";
+    case Rank::executor_limits: return "executor_limits";
     case Rank::cache_store: return "cache_store";
     case Rank::channel_fabric: return "channel_fabric";
     case Rank::url_fetcher: return "url_fetcher";

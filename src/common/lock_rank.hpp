@@ -31,6 +31,7 @@ enum class Rank : std::int32_t {
   worker_threads = 20,       ///< Worker::threads_mutex_
   worker_cancels = 25,       ///< Worker::cancels_mutex_ (cancelled transfers)
   worker_libraries = 30,     ///< Worker::libraries_mutex_
+  executor_limits = 35,      ///< Executor::LimitTimer::mu_ (limit watches)
   cache_store = 40,          ///< CacheStore::mutex_
   channel_fabric = 50,       ///< ChannelFabric::mutex_
   url_fetcher = 60,          ///< MemoryUrlFetcher::mutex_

@@ -72,7 +72,9 @@ struct ReplayOptions {
 };
 
 struct ReplayResult {
-  double makespan = 0;  ///< virtual seconds (sim); wall seconds (runtime)
+  /// Virtual seconds (sim); wall seconds from first submit to last
+  /// completion on the manager's clock (runtime).
+  double makespan = 0;
   int tasks_done = 0;
   int tasks_unfinished = 0;
 

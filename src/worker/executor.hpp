@@ -3,12 +3,19 @@
 // Every task runs in a private sandbox directory: inputs are linked in
 // under their user-visible names, the command (or registered function)
 // runs with the sandbox as its working directory, declared outputs are
-// harvested into the cache, and the sandbox is deleted. Command tasks run
-// as real child processes (/bin/sh -c) with wall-time and disk-allocation
-// enforcement; function tasks invoke a registered callable in-process.
+// harvested into the cache, and the sandbox is deleted. Function tasks
+// invoke a registered callable in-process.
+//
+// Command tasks are spawned, not forked: posix_spawn starts /bin/sh -c in
+// the sandbox as the leader of a fresh process group, without copying the
+// worker's address space, and the task thread blocks until the shell
+// exits. Wall-time, disk and memory limits are enforced by one
+// executor-owned limit timer that tracks only the tasks declaring a limit;
+// on a breach it kills the task's whole process group.
 #pragma once
 
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,7 +38,11 @@ struct ExecutorConfig {
   std::filesystem::path sandbox_root;  ///< parent of per-task sandboxes
   std::string worker_id;
   std::size_t max_captured_output = 1 << 20;  ///< stdout capture cap (1 MiB)
-  double disk_poll_seconds = 0.1;  ///< disk-enforcement poll interval
+  /// Limit-sampling interval: how often the limit timer measures the disk
+  /// and memory use of running tasks that declared a disk or memory limit.
+  /// Wall-time deadlines fire on time; tasks without limits are never
+  /// sampled.
+  double disk_poll_seconds = 0.1;
 };
 
 /// Executes wire tasks against a cache store. Thread-safe: each execute()
@@ -39,6 +50,7 @@ struct ExecutorConfig {
 class Executor {
  public:
   Executor(ExecutorConfig config, CacheStore& cache);
+  ~Executor();
 
   /// Run a command/function task to completion (blocking). Outputs are
   /// placed into the cache under their cache names at the mount's level.
@@ -54,6 +66,8 @@ class Executor {
                          std::vector<proto::OutputRecord>& outputs);
 
  private:
+  class LimitTimer;
+
   ExecOutcome run_command(const proto::WireTask& task,
                           const std::filesystem::path& sandbox);
   ExecOutcome run_function(const proto::WireTask& task,
@@ -61,6 +75,7 @@ class Executor {
 
   ExecutorConfig config_;
   CacheStore& cache_;
+  std::unique_ptr<LimitTimer> limits_;
 };
 
 }  // namespace vine

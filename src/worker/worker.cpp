@@ -154,12 +154,13 @@ void Worker::stop() {
   }
   hosts.clear();
 
-  std::vector<std::thread> to_join;
+  std::map<std::uint64_t, std::thread> to_join;
   {
     MutexLock lock(threads_mutex_);
     to_join.swap(task_threads_);
+    finished_task_threads_.clear();
   }
-  for (auto& t : to_join) {
+  for (auto& [_, t] : to_join) {
     if (t.joinable()) t.join();
   }
   std::vector<std::thread> peers;
@@ -444,8 +445,35 @@ void Worker::handle_run_task(const proto::RunTaskMsg& msg) {
     invoke_function_call(msg.task);
     return;
   }
+  launch_task_thread([this, task = msg.task] { task_thread_main(task); });
+}
+
+void Worker::launch_task_thread(std::function<void()> body) {
+  join_finished_task_threads();
   MutexLock lock(threads_mutex_);
-  task_threads_.emplace_back([this, task = msg.task] { task_thread_main(task); });
+  const std::uint64_t key = next_task_thread_++;
+  // The thread files its key only after the emplace below: it needs
+  // threads_mutex_, which is held until then.
+  task_threads_.emplace(key, std::thread([this, key, body = std::move(body)] {
+    body();
+    MutexLock done(threads_mutex_);
+    finished_task_threads_.push_back(key);
+  }));
+}
+
+void Worker::join_finished_task_threads() {
+  std::vector<std::thread> finished;
+  {
+    MutexLock lock(threads_mutex_);
+    for (std::uint64_t key : finished_task_threads_) {
+      auto it = task_threads_.find(key);
+      if (it == task_threads_.end()) continue;
+      finished.push_back(std::move(it->second));
+      task_threads_.erase(it);
+    }
+    finished_task_threads_.clear();
+  }
+  for (auto& t : finished) t.join();
 }
 
 void Worker::task_thread_main(proto::WireTask task) {
@@ -474,8 +502,7 @@ void Worker::task_thread_main(proto::WireTask task) {
 // ------------------------------------------------------------ serverless
 
 void Worker::start_library(proto::WireTask task) {
-  MutexLock lock(threads_mutex_);
-  task_threads_.emplace_back([this, task = std::move(task)] {
+  launch_task_thread([this, task = std::move(task)] {
     auto sandbox = executor_->make_sandbox(task);
     if (!sandbox.ok()) {
       proto::TaskDoneMsg done;

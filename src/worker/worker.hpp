@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -157,6 +158,10 @@ class Worker {
 
   // --- task execution ---
   void task_thread_main(proto::WireTask task);
+  /// Run `body` on a new task thread, first joining every task thread that
+  /// has finished, so finished threads never pile up their stacks.
+  void launch_task_thread(std::function<void()> body);
+  void join_finished_task_threads();
   void start_library(proto::WireTask task);
   void invoke_function_call(const proto::WireTask& task);
 
@@ -195,13 +200,18 @@ class Worker {
   std::vector<std::thread> serve_pool_;
   std::atomic<std::uint64_t> next_peer_id_{1};
 
-  // Guards task_threads_ and peer_threads_ (appended by the main loop and
-  // the transfer server, drained by stop()) and serve_peers_. Joins and
-  // endpoint destruction happen with the containers swapped out, never
-  // under the lock (an Endpoint dtor deregisters from the reactor).
+  // Guards task_threads_ and finished_task_threads_ (launched by the main
+  // loop, filed as finished by each task thread, joined at the next launch
+  // and by stop()), peer_threads_ (appended by the transfer server, drained
+  // by stop()) and serve_peers_. Joins and endpoint destruction happen with
+  // the threads moved out, never under the lock (an Endpoint dtor
+  // deregisters from the reactor).
   Mutex threads_mutex_{lock_rank::Rank::worker_threads};
-  // running task executions
-  std::vector<std::thread> task_threads_ VINE_GUARDED_BY(threads_mutex_);
+  // task and library-start executions by launch key
+  std::map<std::uint64_t, std::thread> task_threads_ VINE_GUARDED_BY(threads_mutex_);
+  // keys of task threads whose work is done, awaiting a join
+  std::vector<std::uint64_t> finished_task_threads_ VINE_GUARDED_BY(threads_mutex_);
+  std::uint64_t next_task_thread_ VINE_GUARDED_BY(threads_mutex_) = 0;
   // per-peer-connection servers
   std::vector<std::thread> peer_threads_ VINE_GUARDED_BY(threads_mutex_);
   // receiver-driven peer connections, keyed by their serve-job id

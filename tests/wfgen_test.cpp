@@ -14,6 +14,7 @@
 //     under a seeded FaultPlan is bit-deterministic across reruns.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <iterator>
 #include <map>
@@ -320,6 +321,38 @@ TEST(WfGenReplay, EveryShapeRunsToCompletionInSim) {
     EXPECT_EQ(result->tasks_unfinished, 0);
     EXPECT_GT(result->makespan, 0.0);
   }
+}
+
+TEST(WfGenReplay, RuntimeMakespanCoversEveryTask) {
+  WorkloadSpec spec;
+  spec.shape = Shape::diamond;
+  spec.seed = 6;
+  spec.width = 3;
+  spec.input_bytes = Dist::constant(1e4);
+  spec.output_bytes = Dist::constant(1e4);
+
+  ReplayOptions opt;
+  opt.backend = Backend::runtime;
+  opt.workers = 2;
+  opt.trace = std::make_shared<obs::TraceSink>(
+      obs::TraceSinkOptions{.retain_events = true, .jsonl_path = ""});
+  auto result = run_workload(generate(spec), opt);
+  ASSERT_TRUE(result.ok()) << result.error().message;
+
+  // Each task's dispatch-to-done span on the manager's clock lies inside
+  // the replay, so the makespan must cover the longest one.
+  std::map<std::uint64_t, double> dispatched;
+  double longest = 0;
+  for (const auto& ev : opt.trace->events()) {
+    if (ev.kind != obs::EventKind::task_state) continue;
+    if (ev.state == "dispatched") dispatched[ev.task] = ev.t;
+    if (ev.state == "done" && dispatched.count(ev.task)) {
+      longest = std::max(longest, ev.t - dispatched[ev.task]);
+    }
+  }
+  EXPECT_GT(longest, 0.0);
+  EXPECT_GT(result->makespan, 0.0);
+  EXPECT_GE(result->makespan, longest);
 }
 
 TEST(WfGenReplay, RejectsInvalidInstance) {

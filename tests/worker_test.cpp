@@ -1,11 +1,15 @@
-// Unit tests for src/worker components in isolation: CacheStore, Executor,
-// LibraryInstance, built-in functions.
+// Unit tests for src/worker components: CacheStore, Executor,
+// LibraryInstance, built-in functions in isolation, plus a resource soak of
+// one Worker behind a real Manager.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <filesystem>
+#include <string>
+#include <thread>
 
 #include "archive/vpak.hpp"
+#include "core/taskvine.hpp"
 #include "fsutil/fsutil.hpp"
 #include "worker/builtins.hpp"
 #include "worker/cache_store.hpp"
@@ -201,15 +205,36 @@ TEST_F(ExecutorTest, EnvVariablesVisible) {
   EXPECT_EQ(out.output, "value-42");
 }
 
+/// True while `pid` exists and is not a zombie.
+bool process_running(pid_t pid) {
+  auto stat = read_file("/proc/" + std::to_string(pid) + "/stat");
+  if (!stat.ok()) return false;
+  auto close = stat->rfind(')');
+  return close == std::string::npos || close + 2 >= stat->size() ||
+         (*stat)[close + 2] != 'Z';
+}
+
 TEST_F(ExecutorTest, TimeoutKillsTask) {
-  auto t = command_task("sleep 30");
+  // The shell records its `sleep 30` grandchild, which must die with it.
+  const fs::path pid_file = tmp_.path() / "grandchild.pid";
+  auto t = command_task("sleep 30 & echo $! > " + pid_file.string() + "; wait");
   t.timeout_seconds = 0.2;
   auto start = std::chrono::steady_clock::now();
   auto out = exec_->execute(t);
   auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_FALSE(out.ok);
-  EXPECT_LT(elapsed, 5s);
+  EXPECT_LT(elapsed, 1200ms);
   EXPECT_NE(out.error.find("wall-time"), std::string::npos);
+
+  auto pid_text = read_file(pid_file);
+  ASSERT_TRUE(pid_text.ok());
+  const pid_t grandchild = static_cast<pid_t>(std::stol(*pid_text));
+  ASSERT_GT(grandchild, 0);
+  // SIGKILL lands asynchronously; give the kernel a moment to deliver it.
+  for (int i = 0; i < 100 && process_running(grandchild); ++i) {
+    std::this_thread::sleep_for(10ms);
+  }
+  EXPECT_FALSE(process_running(grandchild)) << "orphaned pid " << grandchild;
 }
 
 TEST_F(ExecutorTest, DiskOverageKillsTask) {
@@ -231,6 +256,22 @@ TEST_F(ExecutorTest, MemoryOverageKillsTask) {
   EXPECT_FALSE(out.ok);
   EXPECT_TRUE(out.resource_exceeded) << out.error;
   EXPECT_NE(out.error.find("memory"), std::string::npos);
+}
+
+TEST_F(ExecutorTest, MemoryOverageInSubprocessKillsTask) {
+  // An inner shell, not the task's own shell, holds the ~60MB; the trailing
+  // `echo` keeps the outer shell from exec'ing into the inner one.
+  auto t = command_task(
+      "sh -c 's=$(head -c 60000000 /dev/zero | tr \"\\0\" a); sleep 5; "
+      "echo ${#s}'; echo outer-done");
+  t.resources.memory_mb = 10;
+  auto start = std::chrono::steady_clock::now();
+  auto out = exec_->execute(t);
+  auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_FALSE(out.ok);
+  EXPECT_TRUE(out.resource_exceeded) << out.error;
+  EXPECT_NE(out.error.find("memory"), std::string::npos);
+  EXPECT_LT(elapsed, 4s);
 }
 
 TEST_F(ExecutorTest, MemoryWithinAllocationSucceeds) {
@@ -369,6 +410,44 @@ TEST_F(LibraryInstanceTest, UnknownLibraryFailsInit) {
   ASSERT_TRUE(init.has_value());
   EXPECT_FALSE(init->get_bool("ok"));
   inst.stop();
+}
+
+// ------------------------------------------------------------ Worker
+
+/// Numeric field of /proc/self/status ("Threads", "VmSize" in kB); -1 if
+/// absent.
+long self_status(const std::string& field) {
+  auto text = read_file("/proc/self/status");
+  if (!text.ok()) return -1;
+  const std::string key = "\n" + field + ":";
+  auto pos = text->find(key);
+  if (pos == std::string::npos) return -1;
+  return std::stol(text->substr(pos + key.size()));
+}
+
+TEST(WorkerSoak, FinishedTaskThreadsDoNotAccumulate) {
+  auto cluster = LocalCluster::create({.workers = 1});
+  ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  Manager& m = (*cluster)->manager();
+  auto run = [&](int n) {
+    for (int i = 0; i < n; ++i) ASSERT_TRUE(m.submit(TaskBuilder("true").build()).ok());
+    for (int i = 0; i < n; ++i) {
+      auto r = m.wait(20000ms);
+      ASSERT_TRUE(r.ok()) << r.error().to_string();
+      ASSERT_TRUE(r->ok()) << r->error_message;
+    }
+  };
+  run(50);
+  const long threads_warm = self_status("Threads");
+  const long vm_warm_kb = self_status("VmSize");
+  ASSERT_GT(threads_warm, 0);
+  ASSERT_GT(vm_warm_kb, 0);
+  run(450);
+  // A task thread that is never joined keeps its 8 MiB stack mapped, so a
+  // leak would add ~3.5 GiB here. The budget covers a few in-flight stacks
+  // plus the 64 MiB reservations of malloc arenas that new threads create.
+  EXPECT_LE(self_status("Threads"), threads_warm + 4);
+  EXPECT_LE(self_status("VmSize"), vm_warm_kb + 512 * 1024);
 }
 
 }  // namespace

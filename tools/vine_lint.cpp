@@ -15,6 +15,9 @@
 //   event-poll       ::poll/::select/epoll_* outside net/reactor.cpp; all
 //                    socket readiness multiplexing belongs to the reactor
 //                    (a second event loop fragments the data plane)
+//   raw-fork         fork() anywhere; it copies the whole multithreaded
+//                    process and leaves the child only async-signal-safe
+//                    calls until exec — child processes use posix_spawn
 //   manual-lock      raw .lock()/.unlock() calls outside RAII guards; an
 //                    early return or exception between them leaks the lock
 //   detached-thread  std::thread::detach(); detached threads outlive their
@@ -320,6 +323,22 @@ void scan_file(const fs::path& file, const std::string& rel,
                     " outside net/reactor.cpp; socket multiplexing belongs "
                     "to the reactor");
           }
+        }
+      }
+    }
+
+    // raw-fork: forking a multithreaded process copies its whole address
+    // space (page tables and all) and hands the child a snapshot of locks
+    // other threads held, so only async-signal-safe calls are safe until
+    // exec. Start child processes with posix_spawn instead.
+    {
+      std::size_t pos = 0;
+      if (find_token(c, "fork", &pos)) {
+        std::size_t after = pos + 4;
+        if (after < c.size() && c[after] == '(') {
+          add(i, "raw-fork",
+              "fork() in the multithreaded runtime; spawn children with "
+              "posix_spawn");
         }
       }
     }
