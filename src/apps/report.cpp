@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "obs/views.hpp"
+
 namespace vineapps {
 
 using vinesim::ClusterSim;
-using vinesim::WorkerState;
+using vine::obs::WorkerState;
 
 void print_completion_curve(const std::string& label, const ClusterSim& sim,
                             int points) {

@@ -13,6 +13,19 @@ std::string TransferSource::account() const {
   return "?";
 }
 
+const char* source_kind_name(TransferSource::Kind kind) {
+  switch (kind) {
+    case TransferSource::Kind::manager: return "manager";
+    case TransferSource::Kind::url: return "url";
+    case TransferSource::Kind::worker: return "worker";
+  }
+  return "manager";
+}
+
+std::string source_key_of(const TransferSource& source) {
+  return source.kind == TransferSource::Kind::manager ? std::string() : source.key;
+}
+
 std::string CurrentTransferTable::begin(const std::string& cache_name,
                                         const WorkerId& dest,
                                         const TransferSource& source,

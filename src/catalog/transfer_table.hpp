@@ -37,6 +37,12 @@ struct TransferSource {
   bool operator==(const TransferSource&) const = default;
 };
 
+/// Trace label of a source kind: "manager", "url" or "worker".
+const char* source_kind_name(TransferSource::Kind kind);
+
+/// Trace source key: the url or worker id, "" for the manager.
+std::string source_key_of(const TransferSource& source);
+
 /// One in-flight transfer.
 struct TransferRecord {
   std::string uuid;

@@ -18,27 +18,9 @@ namespace vine {
 namespace fs = std::filesystem;
 using namespace std::chrono_literals;
 
-namespace {
-
-const char* source_kind_name(TransferSource::Kind kind) {
-  switch (kind) {
-    case TransferSource::Kind::manager: return "manager";
-    case TransferSource::Kind::url: return "url";
-    case TransferSource::Kind::worker: return "worker";
-  }
-  return "manager";
-}
-
-std::string source_key_of(const TransferSource& source) {
-  return source.kind == TransferSource::Kind::manager ? std::string() : source.key;
-}
-
-}  // namespace
-
 Manager::Manager(ManagerConfig config)
     : config_(std::move(config)),
-      scheduler_(config_.sched, config_.seed),
-      redundancy_(config_.redundancy) {
+      core_(*this, stats_, config_.sched, config_.seed, config_.redundancy) {
   if (!config_.fetcher) config_.fetcher = std::make_shared<FileUrlFetcher>();
   metrics_.expose("manager.tasks_done", &stats_.tasks_done);
   metrics_.expose("manager.tasks_failed", &stats_.tasks_failed);
@@ -75,15 +57,6 @@ Manager::Manager(ManagerConfig config)
 
 void Manager::emit(obs::Event ev) {
   if (config_.trace) config_.trace->emit("manager", std::move(ev));
-}
-
-void Manager::emit_task_state(const TaskRuntime& task, const char* state) {
-  if (!config_.trace) return;
-  config_.trace->emit(
-      "manager",
-      obs::Event::make_task_state(clock_.now(), task.spec.id, state, task.worker,
-                                  task_kind_name(task.spec.kind),
-                                  task.state != TaskState::failed));
 }
 
 void Manager::emit_counters() {
@@ -306,14 +279,12 @@ Result<TaskId> Manager::submit(TaskSpec spec) {
     }
   }
 
-  TaskRuntime rt;
-  rt.spec = std::move(spec);
-  rt.report.id = rt.spec.id;
+  const TaskId id = spec.id;
+  TaskRuntime& rt = tasks_[id];
+  rt.report.id = id;
   rt.report.submitted_at = clock_.now();
-  TaskId id = rt.spec.id;
-  tasks_.emplace(id, std::move(rt));
-  ready_tasks_.insert(id);
-  emit_task_state(tasks_.at(id), "ready");
+  const char* category = task_kind_name(spec.kind);
+  core_.submit(std::move(spec), category);
   return id;
 }
 
@@ -336,8 +307,8 @@ bool Manager::idle() const { return outstanding() == 0; }
 
 std::size_t Manager::outstanding() const {
   std::size_t n = 0;
-  for (const auto& [_, t] : tasks_) {
-    if (t.is_library) continue;
+  for (const auto& [_, t] : core_.tasks()) {
+    if (t.spec.kind == TaskKind::library) continue;
     if (t.state != TaskState::done && t.state != TaskState::failed) ++n;
   }
   return n;
@@ -369,15 +340,10 @@ void Manager::install_library_on(const LibraryDef& def, const WorkerId& worker) 
   spec.resources = def.per_instance;
   spec.pinned_worker = worker;
 
-  TaskRuntime rt;
-  rt.spec = std::move(spec);
-  rt.is_library = true;
-  rt.report.id = rt.spec.id;
+  TaskRuntime& rt = tasks_[spec.id];
+  rt.report.id = spec.id;
   rt.report.submitted_at = clock_.now();
-  TaskId id = rt.spec.id;
-  tasks_.emplace(id, std::move(rt));
-  ready_tasks_.insert(id);
-  emit_task_state(tasks_.at(id), "ready");
+  core_.submit(std::move(spec), task_kind_name(TaskKind::library));
 }
 
 TaskSpec Manager::function_call(const std::string& library,
@@ -394,8 +360,8 @@ TaskSpec Manager::function_call(const std::string& library,
 
 int Manager::library_instances(const std::string& library_name) const {
   int n = 0;
-  for (const auto& [_, w] : workers_) {
-    n += snapshots_[w.slot].libraries.count(library_name);
+  for (const WorkerSnapshot& snap : core_.workers()) {
+    n += snap.libraries.count(library_name);
   }
   return n;
 }
@@ -426,7 +392,7 @@ Result<std::string> Manager::fetch_file(const FileRef& file,
   // Find (or wait for) a worker holding a present replica.
   WorkerId holder;
   while (true) {
-    auto holders = replicas_.workers_with(name);
+    auto holders = core_.replicas().workers_with(name);
     if (!holders.empty()) {
       holder = holders.front();
       break;
@@ -481,7 +447,7 @@ Status Manager::wait_for_workers(int count, std::chrono::milliseconds timeout) {
 std::vector<WorkerSnapshot> Manager::workers_snapshot() const {
   std::vector<WorkerSnapshot> out;
   out.reserve(workers_.size());
-  for (const auto& [_, w] : workers_) out.push_back(snapshots_[w.slot]);
+  for (const auto& [id, _] : workers_) out.push_back(*core_.worker(id));
   return out;
 }
 
@@ -492,9 +458,9 @@ void Manager::end_workflow() {
   // Drop replica records for everything below worker lifetime, and forget
   // library deployments (instances were just stopped).
   for (const auto& [name, level] : level_of_) {
-    if (level != CacheLevel::worker) replicas_.remove_file(name);
+    if (level != CacheLevel::worker) core_.replicas().remove_file(name);
   }
-  for (auto& snap : snapshots_) snap.libraries.clear();
+  for (const auto& [id, _] : workers_) core_.worker(id)->libraries.clear();
   emit_counters();
   maybe_audit("manager.end_workflow");
 }
@@ -536,8 +502,7 @@ void Manager::pump(std::chrono::milliseconds timeout) {
     ev = inbox_.try_pop();
   }
   if (config_.heartbeat_deadline_ms > 0) evict_silent_workers();
-  schedule_pass();
-  if (redundancy_.enabled()) issue_replications();
+  core_.schedule_pass();
   if (!replication_goals_.empty()) process_replication_requests();
 }
 
@@ -629,26 +594,20 @@ void Manager::handle_hello(const std::string& conn_id, const proto::HelloMsg& ms
   ws.endpoint = std::move(ep);
   ws.conn_id = conn_id;
   ws.last_heard = clock_.now();
-  auto existing = workers_.find(msg.worker_id);
-  if (existing != workers_.end()) {
-    ws.slot = existing->second.slot;  // re-hello: reuse the slot
-  } else {
-    ws.slot = snapshots_.size();
-    snapshots_.emplace_back();
-  }
-  WorkerSnapshot& snap = snapshots_[ws.slot];
-  snap = WorkerSnapshot{};
+  // A re-hello keeps the worker's slot and starts its snapshot over.
+  WorkerSnapshot snap;
   snap.id = msg.worker_id;
   snap.addr = conn_id;
   snap.transfer_addr = msg.transfer_addr;
   snap.total = msg.resources;
+  core_.worker_joined(std::move(snap));
   workers_[msg.worker_id] = std::move(ws);
   emit(obs::Event::make_worker_join(clock_.now(), msg.worker_id));
 
   // The worker's persistent cache becomes visible replicas immediately —
   // this is what makes hot-cache runs skip staging (Figure 9b).
   for (const auto& obj : msg.cached) {
-    replicas_.set_replica(obj.cache_name, msg.worker_id, ReplicaState::present,
+    core_.replicas().set_replica(obj.cache_name, msg.worker_id, ReplicaState::present,
                           obj.size);
     emit(obs::Event::make_cache_insert(clock_.now(), msg.worker_id,
                                        obj.cache_name, obj.size, "preload"));
@@ -666,31 +625,33 @@ void Manager::handle_hello(const std::string& conn_id, const proto::HelloMsg& ms
 
 void Manager::handle_cache_update(const WorkerId& worker,
                                   const proto::CacheUpdateMsg& msg) {
+  FileReplicaTable& replicas = core_.replicas();
+  Scheduler& scheduler = core_.scheduler();
   std::optional<TransferRecord> rec;
-  if (!msg.transfer_id.empty()) rec = transfers_.finish(msg.transfer_id);
+  if (!msg.transfer_id.empty()) rec = core_.transfers().finish(msg.transfer_id);
 
   // Replication fetches share the prefetch transfer class, so this branch
   // must win before the rec->prefetch one below.
-  if (rec && replication_live_.erase(msg.transfer_id) > 0) {
+  if (rec && core_.close_replication(msg.transfer_id)) {
     const std::int64_t bytes = std::max<std::int64_t>(msg.size, 0);
     emit(obs::Event::make_transfer_end(
         clock_.now(), msg.cache_name, "replica", source_key_of(rec->source),
         worker, worker, msg.ok ? bytes : -1, msg.transfer_id, msg.ok,
         msg.ok ? std::string() : msg.error));
     if (msg.ok) {
-      replicas_.set_replica(msg.cache_name, worker, ReplicaState::present,
-                            msg.size);
-      replicas_.pin(msg.cache_name, worker);
+      replicas.set_replica(msg.cache_name, worker, ReplicaState::present,
+                           msg.size);
+      replicas.pin(msg.cache_name, worker);
       ++stats_.replications;
       stats_.replication_bytes += bytes;
-      scheduler_.note_transfer_success(rec->source);
-      redundancy_.note_replica_done(msg.cache_name, worker, true, bytes);
+      scheduler.note_transfer_success(rec->source);
+      core_.redundancy().note_replica_done(msg.cache_name, worker, true, bytes);
     } else {
       // Like prefetch failures: count it, but never blacklist the source —
       // background traffic must not poison critical-path source health.
-      replicas_.remove_replica(msg.cache_name, worker);
+      replicas.remove_replica(msg.cache_name, worker);
       ++stats_.transfer_failures;
-      redundancy_.note_replica_done(msg.cache_name, worker, false, bytes);
+      core_.redundancy().note_replica_done(msg.cache_name, worker, false, bytes);
     }
     return;
   }
@@ -702,7 +663,7 @@ void Manager::handle_cache_update(const WorkerId& worker,
     // cancel_transfer for a stale prediction; a genuine failure counts as
     // a transfer failure but never blacklists its source or retries —
     // speculative traffic must not poison critical-path source health.
-    prefetch_live_.erase(msg.transfer_id);
+    core_.close_prefetch(msg.transfer_id);
     const std::int64_t bytes = std::max<std::int64_t>(msg.size, 0);
     const bool cancelled = !msg.ok && msg.error == "cancelled";
     emit(obs::Event::make_transfer_end(
@@ -710,14 +671,14 @@ void Manager::handle_cache_update(const WorkerId& worker,
         worker, worker, msg.ok ? bytes : (cancelled ? 0 : -1), msg.transfer_id,
         msg.ok, msg.ok ? std::string() : msg.error));
     if (msg.ok) {
-      replicas_.set_replica(msg.cache_name, worker, ReplicaState::present,
-                            msg.size);
+      replicas.set_replica(msg.cache_name, worker, ReplicaState::present,
+                           msg.size);
       ++stats_.transfers_prefetch;
       stats_.bytes_prefetch += bytes;
-      prefetched_.insert({msg.cache_name, worker});
-      scheduler_.note_transfer_success(rec->source);
+      core_.note_prefetched(msg.cache_name, worker);
+      scheduler.note_transfer_success(rec->source);
     } else {
-      replicas_.remove_replica(msg.cache_name, worker);
+      replicas.remove_replica(msg.cache_name, worker);
       if (cancelled) {
         ++stats_.prefetch_cancelled;
         stats_.prefetch_wasted_bytes += bytes;
@@ -740,13 +701,13 @@ void Manager::handle_cache_update(const WorkerId& worker,
   }
 
   if (msg.ok) {
-    replicas_.set_replica(msg.cache_name, worker, ReplicaState::present, msg.size);
+    replicas.set_replica(msg.cache_name, worker, ReplicaState::present, msg.size);
     if (rec && !(rec->source.kind == TransferSource::Kind::worker &&
                  rec->source.key == worker)) {
-      scheduler_.note_transfer_success(rec->source);
+      scheduler.note_transfer_success(rec->source);
     }
   } else {
-    replicas_.remove_replica(msg.cache_name, worker);
+    replicas.remove_replica(msg.cache_name, worker);
     ++stats_.transfer_failures;
     // Score the failure against the source (unless the "source" was the
     // destination itself, i.e. a mini-task materialization): plan_source
@@ -754,7 +715,7 @@ void Manager::handle_cache_update(const WorkerId& worker,
     // the fixed source when every peer is unhealthy.
     if (rec && !(rec->source.kind == TransferSource::Kind::worker &&
                  rec->source.key == worker)) {
-      scheduler_.note_transfer_failure(rec->source, clock_.now());
+      scheduler.note_transfer_failure(rec->source, clock_.now());
     }
     VINE_LOG_WARN("manager", "transfer of %s to %s failed: %s",
                   msg.cache_name.c_str(), worker.c_str(), msg.error.c_str());
@@ -783,38 +744,15 @@ void Manager::handle_cache_update(const WorkerId& worker,
   }
 }
 
-void Manager::release_task_resources(TaskRuntime& task) {
-  if (!task.resources_committed) return;
-  auto it = workers_.find(task.worker);
-  if (it != workers_.end()) {
-    WorkerSnapshot& snap = snapshots_[it->second.slot];
-    snap.committed -= task.spec.resources;
-    snap.running_tasks -= 1;
-    VINE_LOG_DEBUG("manager", "release task %llu on %s -> committed %s",
-                   static_cast<unsigned long long>(task.spec.id),
-                   task.worker.c_str(), snap.committed.to_string().c_str());
-  }
-  task.resources_committed = false;
-}
-
-void Manager::set_task_state(TaskRuntime& task, TaskState state) {
-  task.state = state;
-  if (state == TaskState::ready) {
-    ready_tasks_.insert(task.spec.id);
-  } else {
-    ready_tasks_.erase(task.spec.id);
-  }
-  emit_task_state(task, task_state_name(state));
-}
-
-void Manager::finish_task(TaskRuntime& task, TaskReport report) {
-  set_task_state(task, report.state);
+void Manager::finish_task(control::TaskEntry& entry, TaskRuntime& task,
+                          TaskReport report) {
+  core_.set_state(entry, report.state);
   task.report = report;
   if (report.state == TaskState::done) ++stats_.tasks_done;
   else ++stats_.tasks_failed;
   // Re-runs triggered by lost-temp recovery already reported once; the
   // application must not see a second completion.
-  if (!task.is_library && !task.report_delivered) {
+  if (entry.spec.kind != TaskKind::library && !task.report_delivered) {
     completed_.push_back(std::move(report));
   }
   task.report_delivered = true;
@@ -822,49 +760,53 @@ void Manager::finish_task(TaskRuntime& task, TaskReport report) {
 
 void Manager::handle_task_done(const WorkerId& worker, const proto::TaskDoneMsg& msg) {
   auto it = tasks_.find(msg.task_id);
-  if (it == tasks_.end()) return;
+  control::TaskEntry* entry = core_.task(msg.task_id);
+  if (it == tasks_.end() || entry == nullptr) return;
   TaskRuntime& task = it->second;
+  const TaskSpec& spec = entry->spec;
   VINE_LOG_DEBUG("manager", "task %llu done on %s ok=%d rex=%d err=%s",
                  static_cast<unsigned long long>(msg.task_id), worker.c_str(),
                  msg.ok, msg.resource_exceeded, msg.error.c_str());
-  release_task_resources(task);
+  core_.release(*entry);
 
   // Outputs were announced via cache_update already; make sure the table
   // has them even if messages raced.
+  FileReplicaTable& replicas = core_.replicas();
   for (const auto& out : msg.outputs) {
-    replicas_.set_replica(out.cache_name, worker, ReplicaState::present, out.size);
+    replicas.set_replica(out.cache_name, worker, ReplicaState::present, out.size);
   }
   // Done or retrying, the outputs are no longer "expected" anywhere: they
   // either exist as replicas now or will be re-expected at re-placement.
-  for (const auto& out : task.spec.outputs) {
-    if (out.file) expected_outputs_.erase(out.file->cache_name);
+  for (const auto& out : spec.outputs) {
+    if (out.file) core_.forget_expected(out.file->cache_name);
   }
 
   if (msg.ok) {
     // A completed consumer closes its producers' recovery episodes: the
     // recovered temps were consumed, so a *later* loss of the same outputs
-    // is a new recovery, not a continuation (see TaskRuntime::recovering).
-    for (const auto& in : task.spec.inputs) {
+    // is a new recovery, not a continuation (see TaskEntry::recovering).
+    for (const auto& in : spec.inputs) {
       if (!in.file || in.file->kind != FileKind::temp ||
           in.file->producer_task == 0) {
         continue;
       }
-      auto pit = tasks_.find(in.file->producer_task);
-      if (pit != tasks_.end()) pit->second.recovering = false;
+      if (control::TaskEntry* producer = core_.task(in.file->producer_task)) {
+        producer->recovering = false;
+      }
     }
-    if (redundancy_.enabled() && !task.is_library) {
+    if (core_.redundancy().enabled() && spec.kind != TaskKind::library) {
       const double runtime_s = std::max(0.0, msg.finished_at - msg.started_at);
       std::vector<std::string> temp_inputs;
-      for (const auto& in : task.spec.inputs) {
+      for (const auto& in : spec.inputs) {
         if (in.file && in.file->kind == FileKind::temp) {
           temp_inputs.push_back(in.file->cache_name);
         }
       }
-      for (const auto& out : task.spec.outputs) {
+      for (const auto& out : spec.outputs) {
         if (!out.file || out.file->kind != FileKind::temp) continue;
-        redundancy_.note_produced(out.file->cache_name, runtime_s,
-                                  replicas_.known_size(out.file->cache_name),
-                                  temp_inputs);
+        core_.redundancy().note_produced(out.file->cache_name, runtime_s,
+                                         replicas.known_size(out.file->cache_name),
+                                         temp_inputs);
       }
     }
     TaskReport report = task.report;
@@ -875,33 +817,32 @@ void Manager::handle_task_done(const WorkerId& worker, const proto::TaskDoneMsg&
     report.attempts = task.attempts + 1;
     report.started_at = msg.started_at;
     report.finished_at = msg.finished_at;
-    finish_task(task, std::move(report));
+    finish_task(*entry, task, std::move(report));
 
     // Task-lifetime inputs are dead now; reclaim worker storage.
     if (config_.unlink_task_level_inputs) {
-      for (const auto& in : task.spec.inputs) {
+      for (const auto& in : spec.inputs) {
         if (in.file && in.file->cache == CacheLevel::task) {
           send_to_worker(worker, proto::UnlinkMsg{in.file->cache_name});
-          replicas_.remove_replica(in.file->cache_name, worker);
+          replicas.remove_replica(in.file->cache_name, worker);
         }
       }
     }
-    task.worker.clear();
+    entry->worker.clear();
     return;
   }
 
   // Failure path: maybe grow the allocation, maybe retry, maybe give up.
   ++task.attempts;
   if (msg.resource_exceeded) {
-    auto wit = workers_.find(worker);
-    Resources cap = wit != workers_.end()
-                        ? snapshots_[wit->second.slot].total
-                        : task.spec.resources.grown(task.spec.resources);
-    task.spec.resources = task.spec.resources.grown(cap);
+    const WorkerSnapshot* snap = core_.worker(worker);
+    Resources cap = snap != nullptr ? snap->total
+                                    : entry->spec.resources.grown(entry->spec.resources);
+    entry->spec.resources = entry->spec.resources.grown(cap);
   }
-  if (task.attempts < task.spec.max_attempts) {
-    task.worker.clear();
-    set_task_state(task, TaskState::ready);
+  if (task.attempts < entry->spec.max_attempts) {
+    entry->worker.clear();
+    core_.set_state(*entry, TaskState::ready);
     return;
   }
   TaskReport report = task.report;
@@ -910,23 +851,21 @@ void Manager::handle_task_done(const WorkerId& worker, const proto::TaskDoneMsg&
   report.error_message = msg.error;
   report.worker_id = worker;
   report.attempts = task.attempts;
-  // finish_task before clearing task.worker so the failed event still names
+  // finish_task before clearing the worker so the failed event still names
   // the worker the final attempt ran on.
-  finish_task(task, std::move(report));
-  task.worker.clear();
+  finish_task(*entry, task, std::move(report));
+  entry->worker.clear();
 }
 
 void Manager::handle_library_ready(const WorkerId& worker,
                                    const proto::LibraryReadyMsg& msg) {
-  auto wit = workers_.find(worker);
-  if (wit != workers_.end()) {
-    snapshots_[wit->second.slot].libraries.insert(msg.library_name);
+  if (WorkerSnapshot* snap = core_.worker(worker)) {
+    snap->libraries.insert(msg.library_name);
   }
-  auto tit = tasks_.find(msg.task_id);
-  if (tit != tasks_.end()) {
+  if (control::TaskEntry* task = core_.task(msg.task_id)) {
     // The LibraryTask runs for the rest of the workflow; mark it done for
     // bookkeeping but keep its resources committed on the worker.
-    set_task_state(tit->second, TaskState::done);
+    core_.set_state(*task, TaskState::done);
   }
   VINE_LOG_INFO("manager", "library %s ready on %s", msg.library_name.c_str(),
                 worker.c_str());
@@ -957,97 +896,18 @@ void Manager::handle_worker_lost(const std::string& conn_id, bool evicted) {
 
   ++stats_.workers_lost;
   VINE_LOG_WARN("manager", "worker %s disconnected", worker.c_str());
-  // Captured before the purge: the redundancy repair hook below needs to
-  // know which files just lost a holder.
-  const std::vector<std::string> lost = replicas_.files_on(worker);
-  if (config_.trace) {
-    // Replicas that die with the worker, then the transfers they abort —
-    // the closing membership event goes last so begin/end pairing in the
-    // trace stays exact.
-    for (const std::string& name : lost) {
-      emit(obs::Event::make_cache_evict(clock_.now(), worker, name, "worker_lost"));
-    }
-  }
-  replicas_.remove_worker(worker);
-  for (const TransferRecord& rec : transfers_.remove_worker(worker)) {
-    const bool replication = replication_live_.erase(rec.uuid) > 0;
+  // Replicas die with the worker, then the transfers they abort; the
+  // closing membership event goes last so begin/end pairing stays exact.
+  control::Core::Purge purge = core_.purge_worker(worker, "worker_lost");
+  for (const control::DroppedTransfer& d : purge.dropped) {
+    const TransferRecord& rec = d.record;
     emit(obs::Event::make_transfer_end(
-        clock_.now(), rec.cache_name,
-        replication ? "replica"
-                    : rec.prefetch ? "prefetch"
-                                   : source_kind_name(rec.source.kind),
+        clock_.now(), rec.cache_name, control::transfer_label(d.kind, rec.source.kind),
         source_key_of(rec.source), rec.dest, rec.dest, -1, rec.uuid,
         /*ok=*/false, "worker_lost"));
-    prefetch_live_.erase(rec.uuid);
-    if (replication) redundancy_.note_replica_done(rec.cache_name, rec.dest, false, 0);
   }
-  // Lookahead bookkeeping that referenced the dead worker: unclaimed
-  // prefetched replicas died with its cache, and outputs expected there
-  // will be re-expected when their producers are re-placed.
-  for (auto it = prefetched_.begin(); it != prefetched_.end();) {
-    it = it->second == worker ? prefetched_.erase(it) : std::next(it);
-  }
-  for (auto it = expected_outputs_.begin(); it != expected_outputs_.end();) {
-    it = it->second == worker ? expected_outputs_.erase(it) : std::next(it);
-  }
-  auto wit = workers_.find(worker);
-  if (wit != workers_.end()) {
-    // Swap-pop the dense snapshot and retarget the displaced worker's slot.
-    const std::size_t slot = wit->second.slot;
-    const std::size_t last = snapshots_.size() - 1;
-    if (slot != last) {
-      snapshots_[slot] = std::move(snapshots_[last]);
-      workers_[snapshots_[slot].id].slot = slot;
-    }
-    snapshots_.pop_back();
-    workers_.erase(wit);
-  }
-
-  // Requeue everything that was staged or running there.
-  for (auto& [_, task] : tasks_) {
-    if (task.worker != worker) continue;
-    if (task.is_library) {
-      // The instance died with its worker; drop the stale commitment. A
-      // replacement is installed when the next worker says hello.
-      task.resources_committed = false;
-      task.worker.clear();
-      continue;
-    }
-    if (task.state == TaskState::ready || task.state == TaskState::dispatched ||
-        task.state == TaskState::running) {
-      task.resources_committed = false;  // its worker is gone
-      task.worker.clear();
-      set_task_state(task, TaskState::ready);
-    }
-  }
-
-  // Repair the replication invariant before touching the recovery path:
-  // surviving replicas below k re-enter the engine's queue and transfers
-  // go out now, so recover_lost_file below fires only for temps whose
-  // *every* copy died with this worker.
-  if (redundancy_.enabled()) {
-    for (const std::string& name :
-         redundancy_.note_worker_lost(worker, lost, replicas_)) {
-      ++stats_.replica_repairs;
-      emit(obs::Event::make_replica_repair(clock_.now(), worker, name));
-    }
-    issue_replications();
-  }
-
-  // Temp files whose only replica died: re-run their producers so waiting
-  // consumers are not stranded.
-  for (auto& [_, task] : tasks_) {
-    if (task.state == TaskState::done || task.state == TaskState::failed ||
-        task.is_library) {
-      continue;
-    }
-    for (const auto& in : task.spec.inputs) {
-      if (in.file && in.file->kind == FileKind::temp &&
-          replicas_.present_count(in.file->cache_name) == 0) {
-        recover_lost_file(in.file);
-      }
-    }
-  }
+  workers_.erase(worker);
+  core_.recover_after_loss(worker, purge.lost);
   if (evicted) {
     emit(obs::Event::make_worker_evicted(clock_.now(), worker, "heartbeat"));
   } else {
@@ -1056,120 +916,13 @@ void Manager::handle_worker_lost(const std::string& conn_id, bool evicted) {
   maybe_audit("manager.worker_lost");
 }
 
-void Manager::audit(AuditReport& report) const {
-  std::set<WorkerId> known;
-  for (const auto& [id, _] : workers_) known.insert(id);
-  replicas_.audit(report, known);
-  transfers_.audit(report);
-
-  static const std::string kSub = "manager";
-  for (const auto& rec : transfers_.snapshot()) {
-    report.check(known.count(rec.dest) > 0, kSub,
-                 "transfer " + rec.uuid + " of " + rec.cache_name +
-                     " targets unknown worker " + rec.dest);
-    if (rec.source.kind == TransferSource::Kind::worker) {
-      report.check(known.count(rec.source.key) > 0, kSub,
-                   "transfer " + rec.uuid + " of " + rec.cache_name +
-                       " draws from unknown worker " + rec.source.key);
-    }
-    report.check(replicas_.find(rec.cache_name, rec.dest).has_value(), kSub,
-                 "transfer " + rec.uuid + " of " + rec.cache_name +
-                     " has no replica record at destination " + rec.dest);
-  }
-  for (const auto& [id, task] : tasks_) {
-    if (task.resources_committed) {
-      report.check(known.count(task.worker) > 0, kSub,
-                   "task " + std::to_string(id) +
-                       " holds committed resources on unknown worker '" +
-                       task.worker + "'");
-    }
-  }
-
-  // The dense snapshot vector and the worker map must be a bijection.
-  report.check(snapshots_.size() == workers_.size(), kSub,
-               std::to_string(snapshots_.size()) + " snapshots for " +
-                   std::to_string(workers_.size()) + " workers");
-  for (const auto& [id, w] : workers_) {
-    bool mapped = w.slot < snapshots_.size() && snapshots_[w.slot].id == id;
-    report.check(mapped, kSub,
-                 "worker " + id + " slot " + std::to_string(w.slot) +
-                     " does not map back to its snapshot");
-  }
-
-  // The ready set must mirror exactly the tasks in TaskState::ready.
-  for (TaskId id : ready_tasks_) {
-    auto it = tasks_.find(id);
-    report.check(it != tasks_.end() && it->second.state == TaskState::ready,
-                 kSub, "ready-set entry " + std::to_string(id) +
-                           " is not a ready task");
-  }
-  for (const auto& [id, task] : tasks_) {
-    if (task.state == TaskState::ready) {
-      report.check(ready_tasks_.count(id) > 0, kSub,
-                   "ready task " + std::to_string(id) +
-                       " missing from the ready set");
-    }
-  }
-}
+void Manager::audit(AuditReport& report) const { core_.audit(report); }
 
 void Manager::maybe_audit(const char* where) const {
   if (!audits_enabled()) return;
   AuditReport report;
   audit(report);
   enforce_clean(report, where);
-}
-
-void Manager::recover_lost_file(const FileRef& file) {
-  // Iterative walk up the producer ancestry: re-running a producer whose
-  // own temp inputs are also gone must reset that whole chain. An explicit
-  // stack keeps deep chains off the call stack, the visited set makes
-  // (malformed) cyclic producer graphs terminate, and the step bound caps
-  // the work a single loss event can trigger.
-  constexpr std::size_t kMaxRecoveryChain = 100000;
-  std::vector<FileRef> pending{file};
-  std::set<TaskId> visited;
-  std::size_t steps = 0;
-  while (!pending.empty()) {
-    FileRef f = std::move(pending.back());
-    pending.pop_back();
-    if (!f || f->kind != FileKind::temp || f->producer_task == 0) continue;
-    if (replicas_.present_count(f->cache_name) > 0) continue;
-    if (!visited.insert(f->producer_task).second) continue;
-    if (++steps > kMaxRecoveryChain) {
-      VINE_LOG_ERROR("manager",
-                     "lost-temp recovery chain exceeded %zu producers; "
-                     "abandoning the rest (workflow may stall)",
-                     kMaxRecoveryChain);
-      return;
-    }
-    auto it = tasks_.find(f->producer_task);
-    if (it == tasks_.end()) continue;
-    TaskRuntime& producer = it->second;
-    if (producer.state != TaskState::done) continue;  // running or reset already
-
-    VINE_LOG_WARN("manager",
-                  "temp %s lost with its last replica; re-running task %llu",
-                  f->cache_name.c_str(),
-                  static_cast<unsigned long long>(producer.spec.id));
-    // One logical recovery episode counts once: if the re-run's output died
-    // again before any consumer used it, this is the same episode.
-    if (!producer.recovering) ++stats_.recoveries;
-    producer.recovering = true;
-    if (redundancy_.enabled() && redundancy_.ever_satisfied(f->cache_name)) {
-      // A temp that reached k copies should never need its producer again;
-      // every such re-run is a replication invariant miss.
-      ++stats_.recoveries_replicated;
-    }
-    set_task_state(producer, TaskState::ready);
-    producer.worker.clear();
-    // The producer's own temp inputs may also have died; walk upward.
-    for (const auto& in : producer.spec.inputs) {
-      if (in.file && in.file->kind == FileKind::temp &&
-          replicas_.present_count(in.file->cache_name) == 0) {
-        pending.push_back(in.file);
-      }
-    }
-  }
 }
 
 Status Manager::replicate_file(const FileRef& file, int copies) {
@@ -1191,11 +944,12 @@ void Manager::process_replication_requests() {
     }
     const FileRef file = fit->second;
     int want = it->second;
-    int have = replicas_.present_count(file->cache_name);
+    const FileReplicaTable& replicas = core_.replicas();
+    int have = replicas.present_count(file->cache_name);
     // Count pending materializations toward the goal to avoid re-issuing.
     int pending = 0;
     for (const auto& [worker_id, _] : workers_) {
-      auto rep = replicas_.find(file->cache_name, worker_id);
+      auto rep = replicas.find(file->cache_name, worker_id);
       if (rep && rep->state == ReplicaState::pending) ++pending;
     }
     if (have >= want) {
@@ -1205,9 +959,9 @@ void Manager::process_replication_requests() {
     int missing = want - have - pending;
     for (const auto& [worker_id, _] : workers_) {
       if (missing <= 0) break;
-      if (replicas_.find(file->cache_name, worker_id)) continue;
+      if (replicas.find(file->cache_name, worker_id)) continue;
       // ensure_file_at issues at most one instruction per call.
-      ensure_file_at(file, worker_id);
+      core_.ensure_file_at(file, worker_id);
       --missing;
     }
     ++it;
@@ -1226,381 +980,104 @@ void Manager::send_to_worker(const WorkerId& worker, const proto::AnyMessage& ms
   }
 }
 
-bool Manager::ensure_file_at(const FileRef& file, const WorkerId& worker) {
-  const std::string& name = file->cache_name;
-  if (replicas_.has_present(name, worker)) return true;
-  auto pending = replicas_.find(name, worker);
-  if (pending && pending->state == ReplicaState::pending) return false;
-
-  // Materialization must be scheduled. Mini-task files first need their own
-  // inputs at the worker.
-  if (file->kind == FileKind::mini_task) {
-    bool deps_ready = true;
-    for (const auto& in : file->mini_task->inputs) {
-      deps_ready &= ensure_file_at(in.file, worker);
-    }
-    if (!deps_ready) return false;
-    // Mini-tasks occupy the destination worker itself; account the "source"
-    // as that worker so its in-flight budget reflects the staging work.
-    auto self = TransferSource::from_worker(worker);
-    if (config_.sched.worker_source_limit > 0 &&
-        transfers_.inflight_from(self) >= config_.sched.worker_source_limit) {
-      return false;
-    }
-    std::string uuid = transfers_.begin(name, worker, self, clock_.now());
-    replicas_.set_replica(name, worker, ReplicaState::pending);
-    if (config_.trace) {
-      obs::Event ev = obs::Event::make_transfer_begin(
-          clock_.now(), name, "worker", worker, worker, worker,
-          file->size_hint, uuid);
-      ev.detail = "mini_task";
-      emit(std::move(ev));
-    }
+bool Manager::move_bytes(const control::Transfer& t) {
+  using Kind = control::Transfer::Kind;
+  const double now = clock_.now();
+  obs::Event begin = obs::Event::make_transfer_begin(
+      now, t.cache_name, control::transfer_label(t.kind, t.source.kind),
+      source_key_of(t.source), t.dest, t.dest, t.bytes, t.uuid);
+  // Mini-tasks run at the destination itself: it is their "source".
+  if (t.kind == Kind::mini_task) begin.detail = "mini_task";
+  emit(std::move(begin));
+  if (t.kind == Kind::mini_task) {
     proto::MiniTaskMsg msg;
-    msg.transfer_id = uuid;
-    msg.cache_name = name;
-    msg.level = file->cache;
-    msg.task = proto::to_wire(*file->mini_task);
-    send_to_worker(worker, msg);
-    return false;
+    msg.transfer_id = t.uuid;
+    msg.cache_name = t.cache_name;
+    msg.level = t.file->cache;
+    msg.task = proto::to_wire(*t.file->mini_task);
+    send_to_worker(t.dest, msg);
+    return true;
+  }
+  CacheLevel level = CacheLevel::workflow;
+  if (t.file) {
+    level = t.file->cache;
+  } else if (auto lit = level_of_.find(t.cache_name); lit != level_of_.end()) {
+    level = lit->second;
   }
 
-  // Determine the fixed source for this file kind.
-  TransferSource fixed;
-  switch (file->kind) {
-    case FileKind::local:
-    case FileKind::buffer:
-      fixed = TransferSource::from_manager();
-      break;
-    case FileKind::url:
-      fixed = TransferSource::from_url(file->url);
-      break;
-    case FileKind::temp: {
-      // Temps exist only in the cluster: a peer must hold one.
-      auto plan = scheduler_.plan_source(name, TransferSource::from_manager(),
-                                         worker, replicas_, transfers_,
-                                         clock_.now());
-      if (!plan || plan->kind != TransferSource::Kind::worker) {
-        return false;  // producer not finished or peers saturated; retry
-      }
-      fixed = *plan;
-      break;
-    }
-    default:
-      return false;
-  }
-
-  std::optional<TransferSource> source =
-      (file->kind == FileKind::temp)
-          ? std::optional<TransferSource>(fixed)
-          : scheduler_.plan_source(name, fixed, worker, replicas_, transfers_,
-                                   clock_.now());
-  if (!source) return false;  // all sources saturated; retry next pass
-
-  std::string uuid = transfers_.begin(name, worker, *source, clock_.now());
-  replicas_.set_replica(name, worker, ReplicaState::pending);
-  emit(obs::Event::make_transfer_begin(
-      clock_.now(), name, source_kind_name(source->kind), source_key_of(*source),
-      worker, worker, file->size_hint, uuid));
-
-  if (source->kind == TransferSource::Kind::manager) {
+  if (t.source.kind == TransferSource::Kind::manager) {
     // Push the bytes ourselves: header then blob.
+    const FileDecl& file = *t.file;
     proto::PutMsg msg;
-    msg.transfer_id = uuid;
-    msg.cache_name = name;
-    msg.level = file->cache;
-    std::string payload;
-    if (file->kind == FileKind::buffer) {
-      payload = file->buffer;
-    } else {
+    msg.transfer_id = t.uuid;
+    msg.cache_name = t.cache_name;
+    msg.level = level;
+    Result<std::string> bytes = file.buffer;
+    if (file.kind != FileKind::buffer) {
       std::error_code ec;
-      if (fs::is_directory(file->local_path, ec)) {
+      if (fs::is_directory(file.local_path, ec)) {
         msg.is_dir = true;
         TempDir tmp("vine-mgr-pack");
         auto ar = tmp.path() / "dir.vpak";
-        auto pack = vpak_pack_tree(file->local_path, ar);
-        auto bytes = pack.ok() ? read_file(ar) : Result<std::string>(pack.error());
-        if (!bytes.ok()) {
-          VINE_LOG_ERROR("manager", "cannot pack %s: %s",
-                         file->local_path.c_str(),
-                         bytes.error().message.c_str());
-          transfers_.finish(uuid);
-          replicas_.remove_replica(name, worker);
-          emit(obs::Event::make_transfer_end(clock_.now(), name, "manager", "",
-                                             worker, worker, -1, uuid,
-                                             /*ok=*/false, "read_failed"));
-          return false;
-        }
-        payload = std::move(*bytes);
+        auto pack = vpak_pack_tree(file.local_path, ar);
+        bytes = pack.ok() ? read_file(ar) : Result<std::string>(pack.error());
       } else {
-        auto bytes = read_file(file->local_path);
-        if (!bytes.ok()) {
-          VINE_LOG_ERROR("manager", "cannot read %s", file->local_path.c_str());
-          transfers_.finish(uuid);
-          replicas_.remove_replica(name, worker);
-          emit(obs::Event::make_transfer_end(clock_.now(), name, "manager", "",
-                                             worker, worker, -1, uuid,
-                                             /*ok=*/false, "read_failed"));
-          return false;
-        }
-        payload = std::move(*bytes);
+        bytes = read_file(file.local_path);
       }
     }
-    auto it = workers_.find(worker);
+    if (!bytes.ok()) {
+      VINE_LOG_ERROR("manager", "cannot read %s: %s", file.local_path.c_str(),
+                     bytes.error().message.c_str());
+      emit(obs::Event::make_transfer_end(now, t.cache_name, "manager", "", t.dest,
+                                         t.dest, -1, t.uuid, /*ok=*/false,
+                                         "read_failed"));
+      return false;
+    }
+    auto it = workers_.find(t.dest);
     if (it != workers_.end()) {
       it->second.endpoint->send_json(proto::encode(proto::AnyMessage(msg)));
-      it->second.endpoint->send_blob(name, std::move(payload));
+      it->second.endpoint->send_blob(t.cache_name, std::move(*bytes));
     }
-    return false;
+    return true;
   }
 
   // URL or peer fetch instruction.
   proto::FetchMsg msg;
-  msg.transfer_id = uuid;
-  msg.cache_name = name;
-  msg.level = file->cache;
-  msg.source = *source;
-  if (source->kind == TransferSource::Kind::worker) {
-    auto peer = workers_.find(source->key);
-    if (peer != workers_.end()) {
-      msg.source_addr = snapshots_[peer->second.slot].transfer_addr;
+  msg.transfer_id = t.uuid;
+  msg.cache_name = t.cache_name;
+  msg.level = level;
+  msg.source = t.source;
+  // A prefetch lands as an unclaimed replica. A replication copy is live
+  // state from the first byte, and the pin exempts it from capacity
+  // eviction so the last copy of a temp can never be squeezed out.
+  msg.prefetch = t.kind == Kind::prefetch;
+  msg.pin = t.kind == Kind::replica;
+  if (t.source.kind == TransferSource::Kind::worker) {
+    if (const WorkerSnapshot* peer = core_.worker(t.source.key)) {
+      msg.source_addr = peer->transfer_addr;
     }
   }
-  send_to_worker(worker, msg);
-  return false;
+  send_to_worker(t.dest, msg);
+  return true;
 }
 
-void Manager::dispatch_task(TaskRuntime& task) {
+void Manager::dispatch(control::TaskEntry& task) {
   VINE_LOG_DEBUG("manager", "dispatch task %llu to %s (%s)",
                  static_cast<unsigned long long>(task.spec.id),
                  task.worker.c_str(), task.spec.resources.to_string().c_str());
   proto::RunTaskMsg msg;
   msg.task = proto::to_wire(task.spec);
   send_to_worker(task.worker, msg);
-  set_task_state(task, TaskState::dispatched);
-  task.report.dispatched_at = clock_.now();
+  tasks_[task.spec.id].report.dispatched_at = clock_.now();
 }
 
-void Manager::schedule_pass() {
-  ++stats_.sched_passes;
-  const std::int64_t scanned_before = stats_.tasks_scanned;
-  std::int64_t dispatched_this_pass = 0;
-  const bool lookahead = config_.sched.lookahead.enabled;
-  if (lookahead) build_dag_view();
-  // One pass bracket: the scheduler's token->slot scratch survives across
-  // every pick below, and the DagView (when lookahead is on) feeds the
-  // consumer-gravity term.
-  scheduler_.begin_pass(lookahead ? &dag_view_ : nullptr);
-  // Ready-queue dispatch: the pass walks only ready tasks (ascending id,
-  // like the old full-table scan) against snapshots_, which is maintained
-  // incrementally at every commit/release — no per-pass rebuild or
-  // patch-up. The iterator is advanced before processing because a
-  // dispatched task leaves the set mid-walk; recover_lost_file may insert
-  // ids, which std::set iteration tolerates.
-  for (auto it = ready_tasks_.begin(); it != ready_tasks_.end();) {
-    TaskRuntime& task = tasks_.at(*it);
-    ++it;
-    ++stats_.tasks_scanned;
-
-    if (task.worker.empty()) {
-      // Gate on producibility: a temp input that no worker holds yet means
-      // the producing task has not finished — assigning a worker now would
-      // pin resources (and could deadlock a full cluster) for nothing.
-      bool producible = true;
-      for (const auto& in : task.spec.inputs) {
-        if (in.file && in.file->kind == FileKind::temp &&
-            replicas_.present_count(in.file->cache_name) == 0) {
-          producible = false;
-          // If the producer already ran, its output has been lost (e.g.
-          // the holding worker died before this consumer was submitted);
-          // schedule the producer to run again.
-          recover_lost_file(in.file);
-          break;
-        }
-      }
-      if (!producible) continue;
-
-      auto pick = scheduler_.pick_worker(task.spec, snapshots_, replicas_);
-      if (!pick) {
-        VINE_LOG_DEBUG("manager", "no worker fits task %llu (%s); w0 avail=%s",
-                       static_cast<unsigned long long>(task.spec.id),
-                       task.spec.resources.to_string().c_str(),
-                       snapshots_.empty()
-                           ? "-"
-                           : snapshots_[0].available().to_string().c_str());
-        continue;
-      }
-      task.worker = *pick;
-      auto wit = workers_.find(task.worker);
-      if (wit != workers_.end()) {
-        // Committing directly into snapshots_ is what keeps this pass (and
-        // the next) scheduling against up-to-date availability.
-        WorkerSnapshot& snap = snapshots_[wit->second.slot];
-        snap.committed += task.spec.resources;
-        snap.running_tasks += 1;
-        task.resources_committed = true;
-        VINE_LOG_DEBUG("manager", "commit task %llu on %s (%s) -> committed %s",
-                       static_cast<unsigned long long>(task.spec.id),
-                       task.worker.c_str(), task.spec.resources.to_string().c_str(),
-                       snap.committed.to_string().c_str());
-        for (const auto& in : task.spec.inputs) {
-          if (in.file && replicas_.has_present(in.file->cache_name, task.worker)) {
-            ++stats_.cache_hits;
-          }
-        }
-        if (lookahead) {
-          for (const auto& in : task.spec.inputs) {
-            if (in.file &&
-                prefetched_.erase({in.file->cache_name, task.worker})) {
-              ++stats_.prefetch_hits;
-            }
-          }
-          // Later picks in this pass (and the prefetch planner) see this
-          // task's outputs as expected at its worker.
-          const auto slot = static_cast<std::uint32_t>(wit->second.slot);
-          for (const auto& out : task.spec.outputs) {
-            if (!out.file) continue;
-            expected_outputs_[out.file->cache_name] = task.worker;
-            dag_view_.note_expected(out.file->cache_name, slot);
-          }
-        }
-      }
-    }
-
-    bool all_present = true;
-    for (const auto& in : task.spec.inputs) {
-      all_present &= ensure_file_at(in.file, task.worker);
-    }
-    if (all_present) {
-      dispatch_task(task);
-      ++dispatched_this_pass;
-    }
-  }
-  if (lookahead) {
-    // Stale predictions die before new budget is spent.
-    cancel_stale_prefetches();
-    issue_prefetches();
-  }
-  scheduler_.end_pass();
-
-  // Idle pumps would flood the trace with empty passes; record only the
-  // passes that examined work.
-  const std::int64_t scanned = stats_.tasks_scanned - scanned_before;
-  if (config_.trace && scanned > 0) {
-    emit(obs::Event::make_sched_pass(clock_.now(), scanned, dispatched_this_pass));
-  }
-}
-
-void Manager::build_dag_view() {
-  dag_view_.clear();
-  // Expected locations of in-flight producer outputs, resolved to span
-  // slots (lost producers' entries were pruned at worker loss).
-  for (const auto& [name, worker] : expected_outputs_) {
-    auto wit = workers_.find(worker);
-    if (wit != workers_.end()) {
-      dag_view_.note_expected(name, static_cast<std::uint32_t>(wit->second.slot));
-    }
-  }
-  // The waiting frontier: unplaced ready tasks held back by the
-  // producibility gate. Same walk order (ascending id) and same gate as
-  // the placement loop, but read-only.
-  for (const TaskId tid : ready_tasks_) {
-    const TaskRuntime& task = tasks_.at(tid);
-    if (!task.worker.empty()) continue;
-    bool waiting = false;
-    for (const auto& in : task.spec.inputs) {
-      if (in.file && in.file->kind == FileKind::temp &&
-          replicas_.present_count(in.file->cache_name) == 0) {
-        waiting = true;
-        break;
-      }
-    }
-    if (!waiting) continue;
-    const std::uint32_t idx = dag_view_.add_waiting(tid);
-    for (const auto& in : task.spec.inputs) {
-      if (!in.file) continue;
-      const bool pending = in.file->kind == FileKind::temp &&
-                           replicas_.present_count(in.file->cache_name) == 0;
-      dag_view_.add_dep(idx, in.file->cache_name,
-                        in.file->size_hint > 0 ? in.file->size_hint : 1,
-                        pending);
-    }
-  }
-}
-
-void Manager::issue_prefetches() {
-  auto plans = scheduler_.plan_prefetch(dag_view_, snapshots_, replicas_,
-                                        transfers_, clock_.now());
-  for (const auto& plan : plans) {
-    auto lit = level_of_.find(plan.cache_name);
-    std::string uuid = transfers_.begin(plan.cache_name, plan.dest, plan.source,
-                                        clock_.now(), /*prefetch=*/true);
-    replicas_.set_replica(plan.cache_name, plan.dest, ReplicaState::pending);
-    prefetch_live_[uuid] =
-        PrefetchTrack{plan.cache_name, plan.dest, plan.consumer, false};
-    ++stats_.prefetch_issued;
-    emit(obs::Event::make_transfer_begin(
-        clock_.now(), plan.cache_name, "prefetch", source_key_of(plan.source),
-        plan.dest, plan.dest, plan.bytes, uuid));
-    proto::FetchMsg msg;
-    msg.transfer_id = std::move(uuid);
-    msg.cache_name = plan.cache_name;
-    msg.level = lit != level_of_.end() ? lit->second : CacheLevel::workflow;
-    msg.source = plan.source;
-    msg.prefetch = true;
-    auto peer = workers_.find(plan.source.key);
-    if (peer != workers_.end()) {
-      msg.source_addr = snapshots_[peer->second.slot].transfer_addr;
-    }
-    send_to_worker(plan.dest, msg);
-  }
-}
-
-void Manager::issue_replications() {
-  for (const auto& plan : redundancy_.plan(replicas_, transfers_, snapshots_)) {
-    const TransferSource src = TransferSource::from_worker(plan.source);
-    std::string uuid = transfers_.begin(plan.cache_name, plan.dest, src,
-                                        clock_.now(), /*prefetch=*/true);
-    replicas_.set_replica(plan.cache_name, plan.dest, ReplicaState::pending);
-    replication_live_.insert(uuid);
-    emit(obs::Event::make_transfer_begin(clock_.now(), plan.cache_name,
-                                         "replica", plan.source, plan.dest,
-                                         plan.dest, plan.bytes, uuid));
-    proto::FetchMsg msg;
-    msg.transfer_id = std::move(uuid);
-    msg.cache_name = plan.cache_name;
-    auto lit = level_of_.find(plan.cache_name);
-    msg.level = lit != level_of_.end() ? lit->second : CacheLevel::workflow;
-    msg.source = src;
-    // Not a prefetch on the worker side: the copy is live state from the
-    // first byte, and the pin exempts it from capacity eviction so the
-    // last copy of a temp can never be squeezed out.
-    msg.pin = true;
-    auto peer = workers_.find(plan.source);
-    if (peer != workers_.end()) {
-      msg.source_addr = snapshots_[peer->second.slot].transfer_addr;
-    }
-    send_to_worker(plan.dest, msg);
-  }
-}
-
-void Manager::cancel_stale_prefetches() {
-  for (auto& [uuid, track] : prefetch_live_) {
-    if (track.cancel_sent) continue;
-    auto it = tasks_.find(track.consumer);
-    const bool live = it != tasks_.end() &&
-                      it->second.state != TaskState::done &&
-                      it->second.state != TaskState::failed &&
-                      (it->second.worker.empty() ||
-                       it->second.worker == track.dest);
-    if (live) continue;
-    // Best-effort abort: the worker skips the fetch if it has not started.
-    // Accounting waits for the reply — whichever cache_update arrives
-    // ("cancelled" or a completed transfer that outran the cancel) closes
-    // the record, so the transfer table never leaks an entry.
-    send_to_worker(track.dest, proto::CancelTransferMsg{uuid});
-    track.cancel_sent = true;
-  }
+void Manager::cancel_transfer(const std::string& uuid,
+                              const control::PrefetchTrack& track) {
+  // Best-effort abort: the worker skips the fetch if it has not started.
+  // Accounting waits for the reply — whichever cache_update arrives
+  // ("cancelled" or a completed transfer that outran the cancel) closes
+  // the record, so the transfer table never leaks an entry.
+  send_to_worker(track.dest, proto::CancelTransferMsg{uuid});
 }
 
 }  // namespace vine

@@ -14,7 +14,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -23,6 +22,7 @@
 #include "common/clock.hpp"
 #include "common/invariant.hpp"
 #include "common/mutex.hpp"
+#include "control/core.hpp"
 #include "files/file_decl.hpp"
 #include "files/url_fetcher.hpp"
 #include "net/frame.hpp"
@@ -30,8 +30,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace_sink.hpp"
 #include "proto/messages.hpp"
-#include "redundancy/redundancy.hpp"
-#include "sched/scheduler.hpp"
 
 namespace vine {
 
@@ -73,8 +71,10 @@ struct ManagerConfig {
   std::shared_ptr<obs::TraceSink> trace;
 };
 
-/// Counters the benches and examples report (who moved which bytes).
-struct ManagerStats {
+/// Counters the benches and examples report (who moved which bytes). The
+/// scheduling counters (sched_passes, tasks_scanned, cache_hits, prefetch
+/// hits/issued, recoveries, replica repairs) come from the control core.
+struct ManagerStats : control::ControlStats {
   std::int64_t tasks_done = 0;
   std::int64_t tasks_failed = 0;
   std::int64_t transfers_from_manager = 0;
@@ -84,30 +84,23 @@ struct ManagerStats {
   std::int64_t bytes_from_manager = 0;
   std::int64_t bytes_from_url = 0;
   std::int64_t bytes_from_peers = 0;
-  std::int64_t cache_hits = 0;  ///< inputs found already present at staging
-  std::int64_t sched_passes = 0;   ///< schedule_pass invocations
-  std::int64_t tasks_scanned = 0;  ///< ready tasks examined across all passes
   std::int64_t transfer_failures = 0;  ///< failed transfers reported by workers
-  std::int64_t recoveries = 0;         ///< producer re-runs for lost temps
   std::int64_t workers_lost = 0;       ///< disconnects + evictions
   std::int64_t workers_evicted = 0;    ///< of which: heartbeat-deadline evictions
   // ---- lookahead input prefetch (sched.prefetch_* counters) ----
   std::int64_t transfers_prefetch = 0;  ///< completed prefetch transfers
   std::int64_t bytes_prefetch = 0;      ///< bytes moved by completed prefetches
-  std::int64_t prefetch_issued = 0;     ///< prefetch transfers started
-  std::int64_t prefetch_hits = 0;       ///< placed task found a prefetched input
   std::int64_t prefetch_cancelled = 0;  ///< cancelled (stale prediction)
   std::int64_t prefetch_wasted_bytes = 0;  ///< bytes moved by cancelled prefetches
   // ---- redundancy (only advance when config.redundancy.enabled) ----
   std::int64_t replications = 0;        ///< completed replication transfers
   std::int64_t replication_bytes = 0;   ///< bytes moved by completed replications
-  std::int64_t replica_repairs = 0;     ///< survivors re-queued after a holder died
-  /// Producer re-runs for temps that had reached k copies at some point —
-  /// each one is a replication invariant miss (the soak asserts zero).
-  std::int64_t recoveries_replicated = 0;
 };
 
-class Manager {
+/// The manager hosts a control::Core: the core decides placement, staging
+/// sources, prefetch, replication and loss recovery; the manager carries
+/// those decisions out over the wire protocol.
+class Manager : private control::Host {
  public:
   explicit Manager(ManagerConfig config = {});
   ~Manager();
@@ -223,15 +216,13 @@ class Manager {
   const ManagerStats& stats() const { return stats_; }
   /// Temps still below their replication target — the elastic factory's
   /// replication-backlog scale signal (0 while redundancy is off).
-  int replication_backlog() const { return redundancy_.backlog(); }
-  const FileReplicaTable& replicas() const { return replicas_; }
-  const CurrentTransferTable& transfers() const { return transfers_; }
-  double now() const { return clock_.now(); }
+  int replication_backlog() const { return core_.redundancy().backlog(); }
+  const FileReplicaTable& replicas() const { return core_.replicas(); }
+  const CurrentTransferTable& transfers() const { return core_.transfers(); }
+  double now() const override { return clock_.now(); }
 
-  /// Validate the catalog state machines plus their cross-invariants:
-  /// replicas only on registered workers, every in-flight transfer backed
-  /// by a replica record at its destination, committed task resources only
-  /// on registered workers. Debug builds run this at quiescent points
+  /// Validate the catalog state machines plus their cross-invariants
+  /// (control::Core::audit). Debug builds run this at quiescent points
   /// (worker loss, end_workflow, shutdown) and abort on violation.
   void audit(AuditReport& report) const;
 
@@ -244,26 +235,15 @@ class Manager {
   };
 
   struct WorkerState {
-    std::size_t slot = 0;  ///< index into snapshots_ (swap-pop maintained)
     std::shared_ptr<Endpoint> endpoint;
     std::string conn_id;
     double last_heard = 0;  ///< clock_ time of the last frame (heartbeats too)
   };
 
+  /// What the manager tracks per task beyond the core's TaskEntry.
   struct TaskRuntime {
-    TaskSpec spec;
-    TaskState state = TaskState::ready;
     int attempts = 0;
-    WorkerId worker;  ///< staging/executing worker; "" when unassigned
-    bool resources_committed = false;
-    bool is_library = false;
     bool report_delivered = false;  ///< re-runs after recovery stay silent
-    /// A lost-temp recovery of this producer is still in flight: set when
-    /// recovery resets the task, cleared when a consumer of one of its
-    /// outputs completes. Guards stats_.recoveries against counting one
-    /// logical recovery episode twice when the re-run output dies again
-    /// before anyone consumed it.
-    bool recovering = false;
     TaskReport report;
   };
 
@@ -293,37 +273,19 @@ class Manager {
   /// deadline; each goes through the full handle_worker_lost path.
   void evict_silent_workers();
 
-  // --- scheduling (application thread) ---
-  void schedule_pass();
-  /// Rebuild dag_view_ from the waiting frontier of ready_tasks_ and seed
-  /// expected output locations from in-flight producers (lookahead only).
-  void build_dag_view();
-  /// Issue the pass's planned background prefetches as tagged FetchMsgs.
-  void issue_prefetches();
-  /// Ask the redundancy engine for replica transfers and issue them as
-  /// pinned FetchMsgs riding the prefetch transfer class.
-  void issue_replications();
-  /// Send best-effort cancel_transfer for live prefetches whose predicted
-  /// consumer finished, failed, or landed on a different worker. The
-  /// record stays open until the worker's cache_update reply closes it.
-  void cancel_stale_prefetches();
-  /// Ensure `file` is (or is becoming) present at `worker`; true when
-  /// already present. Issues at most one new instruction per call.
-  bool ensure_file_at(const FileRef& file, const WorkerId& worker);
-  void dispatch_task(TaskRuntime& task);
-  /// Every task-state transition goes through here so ready_tasks_ (the
-  /// dispatch queue schedule_pass walks) stays in lockstep with the states.
-  void set_task_state(TaskRuntime& task, TaskState state);
-  void release_task_resources(TaskRuntime& task);
-  void finish_task(TaskRuntime& task, TaskReport report);
+  // --- control::Host: carry out the core's decisions over the wire ---
+  /// PutMsg (manager push), FetchMsg (url, peer, prefetch, replica) or
+  /// MiniTaskMsg; false when a manager-side file cannot be read.
+  bool move_bytes(const control::Transfer& t) override;
+  void dispatch(control::TaskEntry& task) override;
+  /// Best-effort cancel_transfer; the worker's cache_update reply closes
+  /// the record whichever way the race went.
+  void cancel_transfer(const std::string& uuid,
+                       const control::PrefetchTrack& track) override;
+
+  void finish_task(control::TaskEntry& entry, TaskRuntime& task, TaskReport report);
   void send_to_worker(const WorkerId& worker, const proto::AnyMessage& msg);
   void install_library_on(const LibraryDef& def, const WorkerId& worker);
-  void unlink_everywhere(const std::string& cache_name);
-
-  /// A temp file lost with its last replica: reset its producing task (and
-  /// transitively that task's own lost temp inputs) to run again. The walk
-  /// is iterative, cycle-safe, and bounded by kMaxRecoveryChain ancestors.
-  void recover_lost_file(const FileRef& file);
   void process_replication_requests();
 
   // --- helpers ---
@@ -334,8 +296,7 @@ class Manager {
   void maybe_audit(const char* where) const;
 
   // --- structured tracing (vine::obs); all no-ops when config_.trace is null ---
-  void emit(obs::Event ev);
-  void emit_task_state(const TaskRuntime& task, const char* state);
+  void emit(obs::Event ev) override;
   /// Snapshot metrics_ (ManagerStats gauges) into a `counters` event and
   /// flush the sink. Called at quiescent points (end_workflow, shutdown).
   void emit_counters();
@@ -344,7 +305,6 @@ class Manager {
   std::unique_ptr<Listener> listener_;
   std::string address_;
   SteadyClock clock_;
-  Scheduler scheduler_;
 
   // Guards connections_ and next_conn_ (shared with accept/reader threads);
   // all other workflow state below is application-thread-only. Reader
@@ -360,52 +320,21 @@ class Manager {
 
   // Workflow state (application thread only).
   std::map<WorkerId, WorkerState> workers_;
-  // Dense scheduler view, one snapshot per registered worker, maintained
-  // incrementally at every commit/release/join/loss so schedule_pass never
-  // rebuilds it. workers_ maps each id to its slot here; worker loss
-  // swap-pops and fixes the displaced worker's slot.
-  std::vector<WorkerSnapshot> snapshots_;
   std::map<FileId, std::shared_ptr<FileDecl>> files_;
   std::map<std::string, CacheLevel> level_of_;  // cache_name -> lifetime
   std::map<TaskId, TaskRuntime> tasks_;
-  // Ids of tasks in TaskState::ready — the only tasks a schedule pass must
-  // visit. Ordered so the pass walks ascending ids like the old full scan.
-  std::set<TaskId> ready_tasks_;
   std::deque<TaskReport> completed_;
   std::vector<LibraryDef> libraries_;
-  FileReplicaTable replicas_;
-  CurrentTransferTable transfers_;
   ManagerStats stats_;
-
-  // ---- lookahead state (all empty / untouched when lookahead is off) ----
-  DagView dag_view_;  ///< per-pass waiting-frontier view
-  /// Expected location of each not-yet-done task output: where its producer
-  /// was placed. Maintained at placement commit, consumed by build_dag_view,
-  /// erased on task completion/retry and worker loss.
-  std::map<std::string, WorkerId> expected_outputs_;
-  struct PrefetchTrack {
-    std::string cache_name;
-    WorkerId dest;
-    TaskId consumer = 0;
-    bool cancel_sent = false;  ///< cancel_transfer already sent; await reply
-  };
-  std::map<std::string, PrefetchTrack> prefetch_live_;  // transfer uuid -> track
-  /// (cache_name, worker) pairs whose replica arrived via prefetch and has
-  /// not yet been claimed by a placement (claimed = prefetch hit).
-  std::set<std::pair<std::string, WorkerId>> prefetched_;
+  // Task view, worker snapshots, replica/transfer tables, lookahead and
+  // redundancy state: every scheduling decision.
+  control::Core core_;
   // Exposes every ManagerStats field as a gauge (registered in the
   // constructor); snapshotted into the trace by emit_counters().
   obs::MetricsRegistry metrics_;
 
   // Outstanding replication goals: cache_name -> desired replica count.
   std::map<FileId, int> replication_goals_;
-
-  // ---- redundancy state (untouched when config.redundancy.enabled is off) ----
-  redundancy::RedundancyEngine redundancy_;
-  /// Transfer uuids of in-flight replication fetches; membership routes
-  /// their cache_updates to the replication branch (their records share
-  /// the prefetch transfer class with lookahead staging).
-  std::set<std::string> replication_live_;
 
   // Blobs that arrived for fetch_file round trips, keyed by tag.
   std::map<std::string, std::string> blob_stash_;

@@ -7,7 +7,6 @@
 
 namespace vinesim {
 
-using vine::CacheLevel;
 using vine::FileDecl;
 using vine::FileKind;
 using vine::ReplicaState;
@@ -15,30 +14,14 @@ using vine::TaskKind;
 using vine::TaskSpec;
 using vine::TaskState;
 using vine::TransferSource;
-
-namespace {
-
-const char* source_kind_name(TransferSource::Kind k) {
-  switch (k) {
-    case TransferSource::Kind::manager: return "manager";
-    case TransferSource::Kind::worker: return "worker";
-    case TransferSource::Kind::url: return "url";
-  }
-  return "manager";
-}
-
-std::string source_key_of(const TransferSource& src) {
-  return src.kind == TransferSource::Kind::manager ? std::string() : src.key;
-}
-
-}  // namespace
+using vine::source_key_of;
+using vine::control::TaskEntry;
 
 ClusterSim::ClusterSim(SimConfig config)
     : config_(std::move(config)),
       net_(sim_),
-      scheduler_(config_.sched, config_.seed),
       rng_(config_.seed),
-      redundancy_(config_.redundancy),
+      core_(*this, stats_, config_.sched, config_.seed, config_.redundancy),
       factory_(config_.factory) {
   // A private sink keeps the Figure-12 views available even when the caller
   // did not ask for a full trace; retention stays off so paper-scale runs
@@ -133,7 +116,8 @@ void ClusterSim::install_library(const std::string& name, double init_duration,
 }
 
 void ClusterSim::preload(const std::string& worker, const SimFile* file) {
-  replicas_.set_replica(file->name, worker, ReplicaState::present, file->size);
+  core_.replicas().set_replica(file->name, worker, ReplicaState::present,
+                               file->size);
   emit(vine::obs::Event::make_cache_insert(sim_.now(), worker, file->name,
                                            file->size, "preload"));
 }
@@ -149,20 +133,17 @@ double ClusterSim::run() {
       out.file->planned_bytes = out.size;
     }
   }
-  // Internal library-install tasks are synthesized per worker at join.
+  // Runs enter the core's ready set when their submission fires. Internal
+  // library-install tasks are synthesized per worker at join.
   for (auto& t : tasks_) {
-    TaskRun run;
-    run.task = t.get();
-    run.ready_at = t->submit_at;
-    runs_[t->id] = run;
-    ready_runs_.insert(t->id);
+    runs_[t->id].task = t.get();
     if (t->submit_at > 0) {
       sim_.at(t->submit_at, [this, id = t->id] {
-        emit_task_state(runs_.at(id), "ready");
+        submit(id);
         request_schedule();
       });
     } else {
-      emit_task_state(runs_.at(t->id), "ready");
+      submit(t->id);
     }
   }
   for (const auto& id : worker_order_) {
@@ -171,25 +152,76 @@ double ClusterSim::run() {
   request_schedule();
   sim_.run();
 
-  for (auto& [_, run] : runs_) {
+  for (const auto& [id, run] : runs_) {
     if (run.task->is_library) continue;
-    if (run.state != TaskState::done) ++stats_.tasks_unfinished;
+    const TaskEntry* task = core_.task(id);
+    if (task == nullptr || task->state != TaskState::done) ++stats_.tasks_unfinished;
   }
   emit_counters();
   sink_->flush();
   return makespan_;
 }
 
+vine::FileRef ClusterSim::decl_of(const SimFile* file) {
+  auto it = decls_.find(file);
+  if (it != decls_.end()) return it->second;
+  auto d = std::make_shared<FileDecl>();
+  d->cache_name = file->name;
+  d->size_hint = file->size > 0 ? file->size : file->planned_bytes;
+  switch (file->origin) {
+    case SimFile::Origin::archive:
+    case SimFile::Origin::sharedfs:
+      d->kind = FileKind::url;
+      d->url = file->name;
+      break;
+    case SimFile::Origin::manager:
+      d->kind = FileKind::buffer;
+      break;
+    case SimFile::Origin::temp:
+      d->kind = FileKind::temp;
+      d->producer_task = file->producer != nullptr ? file->producer->id : 0;
+      break;
+    case SimFile::Origin::unpack: {
+      auto mini = std::make_shared<TaskSpec>();
+      mini->kind = TaskKind::mini;
+      mini->inputs.push_back({decl_of(file->archive_of), file->archive_of->name});
+      d->kind = FileKind::mini_task;
+      d->mini_task = std::move(mini);
+      break;
+    }
+  }
+  decls_.emplace(file, d);
+  return d;
+}
+
+void ClusterSim::submit(std::uint64_t id) {
+  const SimTask& task = *runs_.at(id).task;
+  TaskSpec spec;
+  spec.id = task.id;
+  spec.resources = {.cores = task.cores, .memory_mb = 0, .disk_mb = 0, .gpus = 0};
+  spec.pinned_worker = task.pin_worker;
+  if (task.is_library) {
+    spec.kind = TaskKind::library;
+    spec.library_name = task.library;
+  } else if (!task.library.empty()) {
+    spec.kind = TaskKind::function_call;
+    spec.library_name = task.library;
+  }
+  for (const auto* in : task.inputs) spec.inputs.push_back({decl_of(in), in->name});
+  for (const auto& out : task.outputs) {
+    spec.outputs.push_back({decl_of(out.file), out.file->name});
+  }
+  core_.submit(std::move(spec), task.category);
+}
+
 void ClusterSim::worker_join(const std::string& id) {
   WorkerSim& w = workers_[id];
   w.joined = true;
   w.active_fetches = 0;
-  w.slot = snapshots_.size();
   vine::WorkerSnapshot snap;
   snap.id = id;
   snap.total = w.total;
-  snapshots_.push_back(std::move(snap));
-  total_avail_cores_ += w.total.cores;
+  core_.worker_joined(std::move(snap));
   w.node = net_.add_node(id, config_.worker_nic_Bps, config_.worker_nic_Bps,
                          config_.stream_knee, config_.stream_beta);
   emit(vine::obs::Event::make_worker_join(sim_.now(), id));
@@ -202,12 +234,8 @@ void ClusterSim::worker_join(const std::string& id) {
     t->library = def.name;
     t->pin_worker = id;
     t->inputs = def.inputs;
-    TaskRun run;
-    run.task = t;
-    run.ready_at = sim_.now();
-    runs_[t->id] = run;
-    ready_runs_.insert(t->id);
-    emit_task_state(runs_.at(t->id), "ready");
+    runs_[t->id].task = t;
+    submit(t->id);
   }
   request_schedule();
 }
@@ -217,292 +245,27 @@ void ClusterSim::request_schedule() {
   pass_scheduled_ = true;
   sim_.at(sim_.now(), [this] {
     pass_scheduled_ = false;
-    schedule_pass();
+    core_.schedule_pass();
+    if (factory_.enabled()) evaluate_factory(sim_.now());
   });
-}
-
-// Translate a SimTask into the TaskSpec shape the shared scheduler reads.
-namespace {
-
-vine::FileRef make_decl(const SimFile* f) {
-  auto d = std::make_shared<FileDecl>();
-  d->cache_name = f->name;
-  d->size_hint = f->size > 0 ? f->size : f->planned_bytes;
-  d->kind = FileKind::buffer;  // kind is irrelevant to placement scoring
-  return d;
-}
-
-}  // namespace
-
-void ClusterSim::schedule_pass() {
-  double now = sim_.now();
-  ++stats_.sched_passes;
-  const std::int64_t scanned_before = stats_.tasks_scanned;
-  std::int64_t dispatched_this_pass = 0;
-  const bool lookahead = config_.sched.lookahead.enabled;
-  if (lookahead) build_dag_view(now);
-  // One pass bracket: the scheduler's token->slot scratch survives across
-  // every pick below, and the DagView (when lookahead is on) feeds the
-  // consumer-gravity term.
-  scheduler_.begin_pass(lookahead ? &dag_view_ : nullptr);
-
-  // Ready-queue dispatch: the pass walks only ready runs (ascending id,
-  // matching the old full-table scan order) against snapshots_ and
-  // total_avail_cores_, both maintained incrementally at every
-  // join/commit/release — no per-pass rebuild or patch-up loop. The
-  // iterator advances before processing because dispatch() erases the
-  // current id from the set.
-  for (auto it = ready_runs_.begin(); it != ready_runs_.end();) {
-    TaskRun& run = runs_.at(*it);
-    ++it;
-    ++stats_.tasks_scanned;
-    SimTask& task = *run.task;
-    if (task.submit_at > now) continue;
-
-    // Producibility gate: temp inputs must exist somewhere first.
-    bool producible = true;
-    for (const auto* in : task.inputs) {
-      if (in->origin == SimFile::Origin::temp &&
-          replicas_.present_count(in->name) == 0 && !at_manager_.count(in->name)) {
-        producible = false;
-        break;
-      }
-    }
-    if (!producible) continue;
-
-    if (run.worker.empty()) {
-      if (total_avail_cores_ < task.cores) continue;  // cluster saturated
-
-      TaskSpec spec;
-      spec.id = task.id;
-      spec.resources = {.cores = task.cores, .memory_mb = 0, .disk_mb = 0, .gpus = 0};
-      spec.pinned_worker = task.pin_worker;
-      if (!task.library.empty() && !task.is_library) {
-        spec.kind = TaskKind::function_call;
-        spec.library_name = task.library;
-      }
-      for (const auto* in : task.inputs) {
-        spec.inputs.push_back({make_decl(in), in->name});
-      }
-      if (lookahead) {
-        // Outputs feed the consumer-gravity term; greedy ignores them, so
-        // the off path skips building the mounts entirely.
-        for (const auto& out : task.outputs) {
-          spec.outputs.push_back({make_decl(out.file), out.file->name});
-        }
-      }
-      auto pick = scheduler_.pick_worker(spec, snapshots_, replicas_);
-      if (!pick) continue;
-
-      run.worker = *pick;
-      run.committed = true;
-      // Commit straight into the live snapshot so the rest of this pass
-      // (and the next) schedules against up-to-date availability.
-      vine::WorkerSnapshot& snap = snapshots_[workers_[*pick].slot];
-      snap.committed.cores += task.cores;
-      snap.running_tasks += 1;
-      total_avail_cores_ -= task.cores;
-      for (const auto* in : task.inputs) {
-        if (replicas_.has_present(in->name, run.worker)) ++stats_.cache_hits;
-      }
-      if (lookahead) {
-        for (const auto* in : task.inputs) {
-          if (prefetched_.erase({in->name, run.worker})) ++stats_.prefetch_hits;
-        }
-        // Later picks in this pass (and the prefetch planner) see this
-        // task's outputs as expected at its worker.
-        const auto slot = static_cast<std::uint32_t>(workers_[*pick].slot);
-        for (const auto& out : task.outputs) {
-          expected_outputs_[out.file->name] = run.worker;
-          dag_view_.note_expected(out.file->name, slot);
-        }
-      }
-    }
-
-    bool all_present = true;
-    for (const auto* in : task.inputs) {
-      all_present &= ensure_file_at(in, run.worker);
-    }
-    if (all_present) {
-      dispatch(run);
-      ++dispatched_this_pass;
-    }
-  }
-  if (lookahead) {
-    // Stale predictions die before new budget is spent.
-    cancel_stale_prefetches();
-    issue_prefetches(now);
-  }
-  scheduler_.end_pass();
-  emit(vine::obs::Event::make_sched_pass(
-      now, stats_.tasks_scanned - scanned_before, dispatched_this_pass));
-  if (redundancy_.enabled()) issue_replications(now);
-  if (factory_.enabled()) evaluate_factory(now);
-}
-
-void ClusterSim::build_dag_view(double now) {
-  dag_view_.clear();
-  // Expected locations of in-flight producer outputs, resolved to span
-  // slots (crashed producers were already erased from the map).
-  for (const auto& [name, worker] : expected_outputs_) {
-    auto wit = workers_.find(worker);
-    if (wit != workers_.end() && wit->second.joined) {
-      dag_view_.note_expected(name, static_cast<std::uint32_t>(wit->second.slot));
-    }
-  }
-  // The waiting frontier: submitted, unplaced tasks held back by the
-  // producibility gate. Same walk order (ascending id) and same gate as
-  // the placement loop, but read-only.
-  for (const auto tid : ready_runs_) {
-    const TaskRun& run = runs_.at(tid);
-    const SimTask& task = *run.task;
-    if (task.submit_at > now || !run.worker.empty()) continue;
-    bool waiting = false;
-    for (const auto* in : task.inputs) {
-      if (in->origin == SimFile::Origin::temp &&
-          replicas_.present_count(in->name) == 0 && !at_manager_.count(in->name)) {
-        waiting = true;
-        break;
-      }
-    }
-    if (!waiting) continue;
-    const std::uint32_t idx = dag_view_.add_waiting(tid);
-    for (const auto* in : task.inputs) {
-      const bool pending =
-          in->origin == SimFile::Origin::temp &&
-          replicas_.present_count(in->name) == 0 && !at_manager_.count(in->name);
-      const std::int64_t bytes =
-          in->size > 0 ? in->size
-                       : (in->planned_bytes > 0 ? in->planned_bytes : 1);
-      dag_view_.add_dep(idx, in->name, bytes, pending);
-    }
-  }
-}
-
-void ClusterSim::issue_prefetches(double now) {
-  auto plans =
-      scheduler_.plan_prefetch(dag_view_, snapshots_, replicas_, transfers_, now);
-  for (const auto& plan : plans) {
-    auto fit = files_.find(plan.cache_name);
-    if (fit == files_.end()) continue;
-    const SimFile* file = fit->second.get();
-    std::string uuid =
-        transfers_.begin(plan.cache_name, plan.dest, plan.source, now,
-                         /*prefetch=*/true);
-    replicas_.set_replica(plan.cache_name, plan.dest, ReplicaState::pending);
-    prefetch_live_[uuid] =
-        PrefetchTrack{file, plan.dest, plan.source.key, plan.consumer};
-    ++stats_.prefetch_issued;
-    PendingFetch pf;
-    pf.uuid = std::move(uuid);
-    pf.file = file;
-    pf.dest = plan.dest;
-    pf.source = plan.source;
-    pf.prefetch = true;
-    enqueue_fetch(std::move(pf));
-  }
-}
-
-void ClusterSim::cancel_stale_prefetches() {
-  if (prefetch_live_.empty()) return;
-  const double now = sim_.now();
-  std::vector<std::string> stale;
-  for (const auto& [uuid, track] : prefetch_live_) {
-    auto rit = runs_.find(track.consumer);
-    const bool live = rit != runs_.end() &&
-                      rit->second.state != TaskState::failed &&
-                      (rit->second.worker.empty() ||
-                       rit->second.worker == track.dest);
-    if (!live) stale.push_back(uuid);
-  }
-  for (const std::string& uuid : stale) {
-    PrefetchTrack track = prefetch_live_.at(uuid);
-    prefetch_live_.erase(uuid);
-    std::int64_t moved = 0;
-    auto iit = inflight_.find(uuid);
-    if (iit != inflight_.end()) {
-      PendingFetch pf = std::move(iit->second);
-      inflight_.erase(iit);
-      if (pf.flow) {
-        // cancel_flow rolls unmoved bytes back out of the source's
-        // bytes_sent; the difference is what the wire actually carried —
-        // the waste this cancellation writes off.
-        const NodeToken src = source_node(pf.source, pf.file);
-        const std::int64_t before = net_.bytes_sent_from(src);
-        net_.cancel_flow(pf.flow);
-        moved = std::max<std::int64_t>(
-            0, pf.file->size - (before - net_.bytes_sent_from(src)));
-      }
-      if (pf.event) sim_.cancel(pf.event);
-      auto wit = workers_.find(track.dest);
-      if (wit != workers_.end() && wit->second.joined) {
-        if (wit->second.active_fetches > 0) --wit->second.active_fetches;
-      }
-    } else {
-      // Still queued at the destination: drop it before it starts.
-      auto& q = worker_queue_[track.dest];
-      for (auto it = q.begin(); it != q.end(); ++it) {
-        if (it->uuid == uuid) {
-          q.erase(it);
-          break;
-        }
-      }
-    }
-    transfers_.finish(uuid);  // nullopt when a crash already dropped it
-    replicas_.remove_replica(track.file->name, track.dest);
-    emit(vine::obs::Event::make_transfer_end(
-        now, track.file->name, "prefetch", track.src, track.dest, track.dest,
-        moved, uuid, /*ok=*/false, "prefetch_cancelled"));
-    ++stats_.prefetch_cancelled;
-    stats_.prefetch_wasted_bytes += moved;
-    auto wit = workers_.find(track.dest);
-    if (wit != workers_.end() && wit->second.joined) {
-      start_next_fetches(track.dest);
-    }
-  }
-}
-
-void ClusterSim::issue_replications(double now) {
-  for (const auto& plan : redundancy_.plan(replicas_, transfers_, snapshots_)) {
-    auto fit = files_.find(plan.cache_name);
-    if (fit == files_.end()) {
-      redundancy_.note_replica_done(plan.cache_name, plan.dest, /*ok=*/false, 0);
-      continue;
-    }
-    const SimFile* file = fit->second.get();
-    const TransferSource src = TransferSource::from_worker(plan.source);
-    // Replication rides the transfer table's prefetch class so the
-    // per-source limits task-critical planning reads stay untouched.
-    std::string uuid = transfers_.begin(plan.cache_name, plan.dest, src, now,
-                                        /*prefetch=*/true);
-    replicas_.set_replica(plan.cache_name, plan.dest, ReplicaState::pending);
-    PendingFetch pf;
-    pf.uuid = std::move(uuid);
-    pf.file = file;
-    pf.dest = plan.dest;
-    pf.source = src;
-    pf.replica = true;
-    enqueue_fetch(std::move(pf));
-  }
 }
 
 void ClusterSim::evaluate_factory(double now) {
   vine::factory::FactorySignals s;
   s.now = now;
-  s.alive_workers = static_cast<int>(snapshots_.size());
-  for (const auto& snap : snapshots_) {
+  s.alive_workers = static_cast<int>(core_.workers().size());
+  for (const auto& snap : core_.workers()) {
     s.total_cores += snap.total.cores;
     s.busy_cores += snap.committed.cores;
     s.running_tasks += snap.running_tasks;
   }
-  for (const auto tid : ready_runs_) {
-    const TaskRun& run = runs_.at(tid);
-    if (run.task->submit_at <= now && run.worker.empty()) ++s.ready_tasks;
+  for (const auto tid : core_.ready()) {
+    if (core_.task(tid)->worker.empty()) ++s.ready_tasks;
   }
   // Sim workers model unlimited disk, so cache pressure never fires here;
   // the ready-queue and replication-backlog signals carry the decision.
   s.cache_pressure = 0;
-  s.replication_backlog = redundancy_.backlog();
+  s.replication_backlog = core_.redundancy().backlog();
 
   const int verdict = factory_.decide(s);
   if (verdict > 0) {
@@ -514,7 +277,7 @@ void ClusterSim::evaluate_factory(double now) {
     }
     emit(vine::obs::Event::make_factory_scale(
         now, "up:" + std::to_string(verdict) +
-                 " pool:" + std::to_string(snapshots_.size())));
+                 " pool:" + std::to_string(core_.workers().size())));
   } else if (verdict < 0) {
     int retired = 0;
     for (int i = 0; i < -verdict; ++i) {
@@ -524,7 +287,7 @@ void ClusterSim::evaluate_factory(double now) {
     if (retired > 0) {
       emit(vine::obs::Event::make_factory_scale(
           now, "down:" + std::to_string(retired) +
-                   " pool:" + std::to_string(snapshots_.size())));
+                   " pool:" + std::to_string(core_.workers().size())));
     }
   }
 }
@@ -533,9 +296,9 @@ bool ClusterSim::retire_idle_worker(double now) {
   // Only factory-spawned workers ("fw<N>") are retirement candidates — the
   // caller-declared pool is the experiment's fixture, and fault plans index
   // into it. Candidates in id order for determinism.
-  for (const auto& [id, w] : workers_) {
+  for (auto& [id, w] : workers_) {
     if (!w.joined || id.rfind("fw", 0) != 0) continue;
-    const vine::WorkerSnapshot& snap = snapshots_[w.slot];
+    const vine::WorkerSnapshot& snap = *core_.worker(id);
     // Provably idle: nothing running or committed (library instances hold
     // cores, so library hosts never retire), no fetch activity in or out.
     if (snap.running_tasks > 0 || snap.committed.cores > 0) continue;
@@ -552,49 +315,22 @@ bool ClusterSim::retire_idle_worker(double now) {
     }
     if (transfers_touch) continue;
     // Fully replicated: every file held here must survive the teardown.
-    const std::vector<std::string> held = replicas_.files_on(id);
-    bool safe = true;
-    for (const std::string& name : held) {
-      if (replicas_.present_count(name) < 2) {
-        safe = false;
-        break;
-      }
+    const vine::FileReplicaTable& replicas = core_.replicas();
+    const std::vector<std::string> held = replicas.files_on(id);
+    if (std::any_of(held.begin(), held.end(), [&](const std::string& name) {
+          return replicas.present_count(name) < 2;
+        })) {
+      continue;
     }
-    if (!safe) continue;
 
-    // Graceful teardown — same bookkeeping as a crash minus the damage:
-    // no tasks to requeue, no inflight to abort, nothing lost.
-    WorkerSim& worker = workers_[id];
-    {
-      vine::WorkerSnapshot& s = snapshots_[worker.slot];
-      total_avail_cores_ -= (worker.total.cores - s.committed.cores);
-      const std::size_t last = snapshots_.size() - 1;
-      if (worker.slot != last) {
-        snapshots_[worker.slot] = std::move(snapshots_[last]);
-        workers_[snapshots_[worker.slot].id].slot = worker.slot;
-      }
-      snapshots_.pop_back();
-    }
-    worker.joined = false;
-    for (const std::string& name : held) {
-      emit(vine::obs::Event::make_cache_evict(now, id, name, "retired"));
-    }
-    replicas_.remove_worker(id);
-    net_.remove_node(worker.node);
-    transfers_.remove_worker(id);
-    for (auto it = prefetched_.begin(); it != prefetched_.end();) {
-      it = it->second == id ? prefetched_.erase(it) : std::next(it);
-    }
-    for (auto it = expected_outputs_.begin(); it != expected_outputs_.end();) {
-      it = it->second == id ? expected_outputs_.erase(it) : std::next(it);
-    }
-    // Retiring a holder can drop a file below k: re-queue survivors.
-    for (const std::string& name :
-         redundancy_.note_worker_lost(id, held, replicas_)) {
-      ++stats_.replica_repairs;
-      emit(vine::obs::Event::make_replica_repair(now, id, name));
-    }
-    emit(vine::obs::Event::make_worker_lost(now, id, "retired"));
+    // Graceful teardown — the worker-loss path minus the damage: no tasks
+    // to requeue, no fetch to abort, no temp left without a copy.
+    const std::string retiring = id;
+    w.joined = false;
+    const auto purge = core_.purge_worker(retiring, "retired");
+    net_.remove_node(w.node);
+    core_.recover_after_loss(retiring, purge.lost);
+    emit(vine::obs::Event::make_worker_lost(now, retiring, "retired"));
     ++stats_.factory_retired;
     return true;
   }
@@ -616,78 +352,79 @@ NodeToken ClusterSim::source_node(const TransferSource& src,
   return manager_node_;
 }
 
-bool ClusterSim::ensure_file_at(const SimFile* file, const std::string& worker) {
-  const std::string& name = file->name;
-  if (replicas_.has_present(name, worker)) return true;
-  auto rep = replicas_.find(name, worker);
-  if (rep && rep->state == ReplicaState::pending) return false;
+bool ClusterSim::move_bytes(const vine::control::Transfer& t) {
+  auto it = files_.find(t.cache_name);
+  if (it == files_.end()) return false;
+  PendingFetch pf;
+  pf.uuid = t.uuid;
+  pf.file = it->second.get();
+  pf.dest = t.dest;
+  pf.source = t.source;
+  pf.kind = t.kind;
+  enqueue_fetch(std::move(pf));
+  return true;
+}
 
-  if (file->origin == SimFile::Origin::unpack) {
-    // Unpack mini-task: the packed archive must land first; then the
-    // staging work runs on the destination worker itself.
-    if (!ensure_file_at(file->archive_of, worker)) return false;
-    auto self = TransferSource::from_worker(worker);
-    if (config_.sched.worker_source_limit > 0 &&
-        transfers_.inflight_from(self) >= config_.sched.worker_source_limit) {
-      return false;
+void ClusterSim::cancel_transfer(const std::string& uuid,
+                                 const vine::control::PrefetchTrack& track) {
+  const double now = sim_.now();
+  std::int64_t moved = 0;
+  auto iit = inflight_.find(uuid);
+  if (iit != inflight_.end()) {
+    PendingFetch pf = std::move(iit->second);
+    inflight_.erase(iit);
+    if (pf.flow) {
+      // cancel_flow rolls unmoved bytes back out of the source's
+      // bytes_sent; the difference is what the wire actually carried —
+      // the waste this cancellation writes off.
+      const NodeToken src = source_node(pf.source, pf.file);
+      const std::int64_t before = net_.bytes_sent_from(src);
+      net_.cancel_flow(pf.flow);
+      moved = std::max<std::int64_t>(
+          0, pf.file->size - (before - net_.bytes_sent_from(src)));
     }
-    std::string uuid = transfers_.begin(name, worker, self, sim_.now());
-    replicas_.set_replica(name, worker, ReplicaState::pending);
-    enqueue_fetch({uuid, file, worker, self, /*is_unpack=*/true});
-    return false;
-  }
-
-  TransferSource fixed;
-  switch (file->origin) {
-    case SimFile::Origin::archive:
-    case SimFile::Origin::sharedfs:
-      fixed = TransferSource::from_url(name);
-      break;
-    case SimFile::Origin::manager:
-      fixed = TransferSource::from_manager();
-      break;
-    case SimFile::Origin::temp: {
-      if (at_manager_.count(name)) {
-        fixed = TransferSource::from_manager();
-        break;
-      }
-      auto plan = scheduler_.plan_source(name, TransferSource::from_manager(),
-                                         worker, replicas_, transfers_,
-                                         sim_.now());
-      if (!plan || plan->kind != TransferSource::Kind::worker) return false;
-      std::string uuid = transfers_.begin(name, worker, *plan, sim_.now());
-      replicas_.set_replica(name, worker, ReplicaState::pending);
-      enqueue_fetch({uuid, file, worker, *plan, false});
-      return false;
+    if (pf.event) sim_.cancel(pf.event);
+    auto wit = workers_.find(track.dest);
+    if (wit != workers_.end() && wit->second.joined) {
+      if (wit->second.active_fetches > 0) --wit->second.active_fetches;
     }
-    default:
-      return false;
+  } else {
+    // Still queued at the destination: drop it before it starts.
+    auto& q = worker_queue_[track.dest];
+    auto it = std::find_if(q.begin(), q.end(),
+                           [&](const PendingFetch& f) { return f.uuid == uuid; });
+    if (it != q.end()) q.erase(it);
   }
-
-  auto plan = scheduler_.plan_source(name, fixed, worker, replicas_, transfers_,
-                                     sim_.now());
-  if (!plan) return false;
-  std::string uuid = transfers_.begin(name, worker, *plan, sim_.now());
-  replicas_.set_replica(name, worker, ReplicaState::pending);
-  enqueue_fetch({uuid, file, worker, *plan, false});
-  return false;
+  core_.close_prefetch(uuid);
+  core_.transfers().finish(uuid);  // nullopt when a crash already dropped it
+  core_.replicas().remove_replica(track.cache_name, track.dest);
+  emit(vine::obs::Event::make_transfer_end(
+      now, track.cache_name, "prefetch", track.source.key, track.dest,
+      track.dest, moved, uuid, /*ok=*/false, "prefetch_cancelled"));
+  ++stats_.prefetch_cancelled;
+  stats_.prefetch_wasted_bytes += moved;
+  auto wit = workers_.find(track.dest);
+  if (wit != workers_.end() && wit->second.joined) {
+    start_next_fetches(track.dest);
+  }
 }
 
 void ClusterSim::enqueue_fetch(PendingFetch fetch) {
-  if (fetch.source.kind == TransferSource::Kind::worker && !fetch.is_unpack &&
-      !fetch.prefetch && !fetch.replica) {
+  if (fetch.source.kind == TransferSource::Kind::worker &&
+      fetch.kind == PendingFetch::Kind::fetch) {
     stats_.max_worker_source_inflight =
         std::max(stats_.max_worker_source_inflight,
-                 transfers_.inflight_from(fetch.source));
+                 core_.transfers().inflight_from(fetch.source));
   }
   std::string dest = fetch.dest;
   auto& queue = worker_queue_[dest];
-  const bool background = fetch.prefetch || fetch.replica;
-  if ((config_.sched.lookahead.enabled || redundancy_.enabled()) && !background) {
+  const bool background = fetch.background();
+  if ((config_.sched.lookahead.enabled || config_.redundancy.enabled) &&
+      !background) {
     // Task-critical fetches jump ahead of queued background traffic
     // (prefetches and replication copies alike).
     auto it = std::find_if(queue.begin(), queue.end(), [](const PendingFetch& f) {
-      return f.prefetch || f.replica;
+      return f.background();
     });
     queue.insert(it, std::move(fetch));
   } else {
@@ -702,7 +439,7 @@ void ClusterSim::start_next_fetches(const std::string& worker) {
   while (!queue.empty()) {
     // Background transfers (prefetch or replication) leave one slot free
     // for task-critical arrivals, so they can never saturate a destination.
-    const int cap = (queue.front().prefetch || queue.front().replica)
+    const int cap = queue.front().background()
                         ? config_.worker_parallel_transfers - 1
                         : config_.worker_parallel_transfers;
     if (w.active_fetches >= cap) break;
@@ -716,20 +453,16 @@ void ClusterSim::start_next_fetches(const std::string& worker) {
 void ClusterSim::start_fetch(PendingFetch fetch) {
   {
     auto ev = vine::obs::Event::make_transfer_begin(
-        sim_.now(), fetch.file->name,
-        fetch.replica
-            ? "replica"
-            : fetch.prefetch ? "prefetch" : source_kind_name(fetch.source.kind),
-        source_key_of(fetch.source), fetch.dest, fetch.dest, fetch.file->size,
-        fetch.uuid);
-    if (fetch.is_unpack) ev.detail = "unpack";
+        sim_.now(), fetch.file->name, fetch.label(), source_key_of(fetch.source),
+        fetch.dest, fetch.dest, fetch.file->size, fetch.uuid);
+    if (fetch.kind == PendingFetch::Kind::mini_task) ev.detail = "unpack";
     emit(std::move(ev));
   }
   fetch.seq = next_fetch_seq_++;
   const std::string uuid = fetch.uuid;
   PendingFetch& pf = inflight_[uuid];
   pf = std::move(fetch);
-  if (pf.is_unpack) {
+  if (pf.kind == PendingFetch::Kind::mini_task) {
     double duration = static_cast<double>(pf.file->size) / config_.unpack_Bps;
     pf.event = sim_.at(sim_.now() + duration,
                        [this, uuid] { finish_inflight(uuid); });
@@ -739,7 +472,7 @@ void ClusterSim::start_fetch(PendingFetch fetch) {
   // even rejoined, cache cold) since planning. Refuse to simulate bytes
   // the source no longer holds — the peer answers not-found.
   if (pf.source.kind == TransferSource::Kind::worker &&
-      !replicas_.has_present(pf.file->name, pf.source.key)) {
+      !core_.replicas().has_present(pf.file->name, pf.source.key)) {
     fail_inflight(uuid);
     return;
   }
@@ -775,32 +508,30 @@ void ClusterSim::fail_inflight(const std::string& uuid) {
 
 void ClusterSim::fetch_failed(const PendingFetch& fetch) {
   emit(vine::obs::Event::make_transfer_end(
-      sim_.now(), fetch.file->name,
-      fetch.replica
-          ? "replica"
-          : fetch.prefetch ? "prefetch" : source_kind_name(fetch.source.kind),
-      source_key_of(fetch.source), fetch.dest, fetch.dest, fetch.file->size,
-      fetch.uuid, /*ok=*/false,
+      sim_.now(), fetch.file->name, fetch.label(), source_key_of(fetch.source),
+      fetch.dest, fetch.dest, fetch.file->size, fetch.uuid, /*ok=*/false,
       fetch.corrupted ? "digest_reject" : "failed"));
-  transfers_.finish(fetch.uuid);  // nullopt when a crash already dropped it
-  replicas_.remove_replica(fetch.file->name, fetch.dest);
+  core_.transfers().finish(fetch.uuid);  // nullopt when a crash already dropped it
+  core_.replicas().remove_replica(fetch.file->name, fetch.dest);
   ++stats_.transfer_failures;
-  if (fetch.prefetch) {
+  vine::Scheduler& scheduler = core_.scheduler();
+  if (fetch.kind == PendingFetch::Kind::prefetch) {
     // A dead prefetch is not retried (the next pass may re-plan it) and —
     // being best-effort background traffic — does not blacklist its
     // source for task-critical planning.
-    prefetch_live_.erase(fetch.uuid);
-  } else if (fetch.replica) {
+    core_.close_prefetch(fetch.uuid);
+  } else if (fetch.kind == PendingFetch::Kind::replica) {
     // Same best-effort rule for replication copies: refund the engine's
     // budget so it can re-plan, but never poison the source's health.
-    redundancy_.note_replica_done(fetch.file->name, fetch.dest, /*ok=*/false, 0);
+    core_.close_replication(fetch.uuid);
+    core_.redundancy().note_replica_done(fetch.file->name, fetch.dest,
+                                         /*ok=*/false, 0);
   } else {
-    scheduler_.note_transfer_failure(fetch.source, sim_.now());
+    scheduler.note_transfer_failure(fetch.source, sim_.now());
   }
   // Nothing may happen between now and the source's backoff expiry, and an
   // idle event queue ends the run — so book the retry pass explicitly.
-  const double until =
-      scheduler_.source_health().blacklist_until(fetch.source);
+  const double until = scheduler.source_health().blacklist_until(fetch.source);
   if (until > sim_.now()) {
     sim_.at(until, [this] { request_schedule(); });
   }
@@ -813,46 +544,45 @@ void ClusterSim::fetch_failed(const PendingFetch& fetch) {
 }
 
 void ClusterSim::fetch_complete(const PendingFetch& fetch) {
+  using Kind = PendingFetch::Kind;
+  const bool unpack = fetch.kind == Kind::mini_task;
   emit(vine::obs::Event::make_transfer_end(
-      sim_.now(), fetch.file->name,
-      fetch.replica
-          ? "replica"
-          : fetch.prefetch ? "prefetch" : source_kind_name(fetch.source.kind),
-      source_key_of(fetch.source), fetch.dest, fetch.dest, fetch.file->size,
-      fetch.uuid, /*ok=*/true, fetch.is_unpack ? "unpack" : ""));
+      sim_.now(), fetch.file->name, fetch.label(), source_key_of(fetch.source),
+      fetch.dest, fetch.dest, fetch.file->size, fetch.uuid, /*ok=*/true,
+      unpack ? "unpack" : ""));
   emit(vine::obs::Event::make_cache_insert(
       sim_.now(), fetch.dest, fetch.file->name, fetch.file->size,
-      fetch.is_unpack
-          ? "unpack"
-          : (fetch.replica ? "replica" : (fetch.prefetch ? "prefetch" : "fetch"))));
-  transfers_.finish(fetch.uuid);
+      unpack ? "unpack" : fetch.background() ? fetch.label() : "fetch"));
+  core_.transfers().finish(fetch.uuid);
   // Self-sourced mini-tasks (unpack) say nothing about the worker's health
   // as a *peer* source, so they don't rehabilitate it (mirrors the
   // manager's cache-update handling).
   if (!(fetch.source.kind == TransferSource::Kind::worker &&
         fetch.source.key == fetch.dest)) {
-    scheduler_.note_transfer_success(fetch.source);
+    core_.scheduler().note_transfer_success(fetch.source);
   }
-  replicas_.set_replica(fetch.file->name, fetch.dest, ReplicaState::present,
-                        fetch.file->size);
+  vine::FileReplicaTable& replicas = core_.replicas();
+  replicas.set_replica(fetch.file->name, fetch.dest, ReplicaState::present,
+                       fetch.file->size);
 
-  if (fetch.is_unpack) {
+  if (unpack) {
     ++stats_.unpacks;
-  } else if (fetch.replica) {
+  } else if (fetch.kind == Kind::replica) {
     // A landed replica is pinned: eviction must never drop a redundancy
     // copy, and the engine's budget is refunded for the next plan.
-    replicas_.pin(fetch.file->name, fetch.dest);
+    replicas.pin(fetch.file->name, fetch.dest);
     ++stats_.replications;
     stats_.replication_bytes += fetch.file->size;
-    redundancy_.note_replica_done(fetch.file->name, fetch.dest, /*ok=*/true,
-                                  fetch.file->size);
-  } else if (fetch.prefetch) {
+    core_.close_replication(fetch.uuid);
+    core_.redundancy().note_replica_done(fetch.file->name, fetch.dest,
+                                         /*ok=*/true, fetch.file->size);
+  } else if (fetch.kind == Kind::prefetch) {
     // Prefetched bytes are accounted in their own class — they never mix
     // into the task-critical per-source totals the Figure-11/13 gates read.
     ++stats_.transfers_prefetch;
     stats_.bytes_prefetch += fetch.file->size;
-    prefetched_.insert({fetch.file->name, fetch.dest});
-    prefetch_live_.erase(fetch.uuid);
+    core_.note_prefetched(fetch.file->name, fetch.dest);
+    core_.close_prefetch(fetch.uuid);
   } else {
     switch (fetch.source.kind) {
       case TransferSource::Kind::manager:
@@ -881,73 +611,56 @@ void ClusterSim::fetch_complete(const PendingFetch& fetch) {
   request_schedule();
 }
 
-void ClusterSim::set_run_state(std::uint64_t id, TaskRun& run,
-                               TaskState state) {
-  run.state = state;
-  if (state == TaskState::ready) {
-    ready_runs_.insert(id);
-  } else {
-    ready_runs_.erase(id);
-  }
-}
-
-void ClusterSim::dispatch(TaskRun& run) {
-  set_run_state(run.task->id, run, TaskState::dispatched);
-  emit_task_state(run, "dispatched");
+void ClusterSim::dispatch(TaskEntry& task) {
   // The manager dispatches serially; at very large task counts this is the
   // §6 bottleneck (1 ms/task -> 1000 s per million tasks).
   double start = std::max(sim_.now(), next_dispatch_at_) + config_.dispatch_overhead;
   next_dispatch_at_ = start;
-  run.dispatch_event = sim_.at(start, [this, id = run.task->id] {
+  const std::uint64_t id = task.spec.id;
+  runs_[id].dispatch_event = sim_.at(start, [this, id] {
     TaskRun& r = runs_[id];
     r.dispatch_event = 0;
-    set_run_state(id, r, TaskState::running);
-    r.started_at_ = sim_.now();
-    emit_task_state(r, "running");
+    r.started_at = sim_.now();
+    core_.set_state(*core_.task(id), TaskState::running);
     r.completion_event = sim_.at(sim_.now() + r.task->duration, [this, id] {
-      TaskRun& rr = runs_[id];
-      rr.completion_event = 0;
-      task_complete(rr);
+      runs_[id].completion_event = 0;
+      task_complete(id);
     });
   });
 }
 
-void ClusterSim::task_complete(TaskRun& run) {
-  SimTask& task = *run.task;
+void ClusterSim::task_complete(std::uint64_t id) {
+  SimTask& task = *runs_[id].task;
+  TaskEntry& entry = *core_.task(id);
+  const std::string worker = entry.worker;
   double now = sim_.now();
-  emit_task_state(run, "done");
+  core_.set_state(entry, TaskState::done);
 
   if (task.is_library) {
     // Instance stays up, holding its cores; announce availability.
-    set_run_state(task.id, run, TaskState::done);
-    snapshots_[workers_[run.worker].slot].libraries.insert(task.library);
+    core_.worker(worker)->libraries.insert(task.library);
     request_schedule();
     return;
   }
 
-  set_run_state(task.id, run, TaskState::done);
   ++stats_.tasks_done;
   makespan_ = std::max(makespan_, now);
-
-  vine::WorkerSnapshot& snap = snapshots_[workers_[run.worker].slot];
-  snap.committed.cores -= task.cores;
-  snap.running_tasks -= 1;
-  total_avail_cores_ += task.cores;
-  run.committed = false;
+  core_.release(entry);
 
   for (const auto& out : task.outputs) {
     out.file->size = out.size;
+    decls_.at(out.file)->size_hint = out.size > 0 ? out.size : out.file->planned_bytes;
     // The output exists now; lookahead no longer needs the producer hint.
-    expected_outputs_.erase(out.file->name);
+    core_.forget_expected(out.file->name);
     if (task.retrieve_outputs || config_.retrieve_temp_outputs) {
       // Shared-storage mode: the output *moves* to the manager rather than
       // staying cached at the worker; consumers must pull it back
       // (Figure 13a's back-and-forth).
-      retrieve_output(out.file, run.worker);
+      retrieve_output(out.file, worker);
     } else {
-      replicas_.set_replica(out.file->name, run.worker, ReplicaState::present,
-                            out.size);
-      emit(vine::obs::Event::make_cache_insert(now, run.worker, out.file->name,
+      core_.replicas().set_replica(out.file->name, worker, ReplicaState::present,
+                                   out.size);
+      emit(vine::obs::Event::make_cache_insert(now, worker, out.file->name,
                                                out.size, "task_output"));
     }
   }
@@ -957,30 +670,31 @@ void ClusterSim::task_complete(TaskRun& run) {
   // chain counts as a fresh recovery (mirrors the manager).
   for (const auto* in : task.inputs) {
     if (in->origin != SimFile::Origin::temp || in->producer == nullptr) continue;
-    auto pit = runs_.find(in->producer->id);
-    if (pit != runs_.end()) pit->second.recovering = false;
+    if (TaskEntry* producer = core_.task(in->producer->id)) {
+      producer->recovering = false;
+    }
   }
 
-  if (redundancy_.enabled()) {
+  if (config_.redundancy.enabled) {
     // Tell the engine what this run just produced: observed runtime and the
     // temp inputs whose ancestry deepens the loss cost.
     std::vector<std::string> temp_inputs;
     for (const auto* in : task.inputs) {
       if (in->origin == SimFile::Origin::temp) temp_inputs.push_back(in->name);
     }
-    const double runtime_s = std::max(0.0, now - run.started_at_);
+    const double runtime_s = std::max(0.0, now - runs_[id].started_at);
     for (const auto& out : task.outputs) {
       if (task.retrieve_outputs || config_.retrieve_temp_outputs) continue;
-      redundancy_.note_produced(out.file->name, runtime_s, out.size, temp_inputs);
+      core_.redundancy().note_produced(out.file->name, runtime_s, out.size,
+                                       temp_inputs);
     }
   }
   request_schedule();
 
   // Fault plans can arm "crash after N completed tasks"; check last so the
   // Nth task's outputs exist briefly — and are then lost with the worker.
-  WorkerSim& w = workers_[run.worker];
-  ++w.tasks_completed;
-  maybe_fire_task_triggers(run.worker);
+  ++workers_[worker].tasks_completed;
+  maybe_fire_task_triggers(worker);
 }
 
 void ClusterSim::retrieve_output(const SimFile* file, const std::string& worker) {
@@ -990,6 +704,7 @@ void ClusterSim::retrieve_output(const SimFile* file, const std::string& worker)
   // transfer events names the worker whose NIC carries the bytes — the
   // *source* here, with dest "manager".
   std::string uuid = "ret-" + std::to_string(next_retrieval_id_++);
+  retrieving_.insert(file->name);
   emit(vine::obs::Event::make_transfer_begin(sim_.now(), file->name, "worker",
                                              worker, "manager", worker,
                                              file->size, uuid));
@@ -1003,6 +718,7 @@ void ClusterSim::retrieve_output(const SimFile* file, const std::string& worker)
                                              file->size, "retrieval"));
     ++stats_.retrievals_to_manager;
     stats_.bytes_to_manager += file->size;
+    retrieving_.erase(file->name);
     at_manager_.insert(file->name);
     makespan_ = std::max(makespan_, sim_.now());
     request_schedule();
@@ -1085,40 +801,24 @@ void ClusterSim::maybe_fire_task_triggers(const std::string& worker) {
 }
 
 void ClusterSim::fail_worker(const std::string& id_ref) {
-  // Copy first: callers may pass a string this teardown itself mutates.
-  // The task-triggered crash path hands in run.worker of the task whose
-  // completion fired the trigger, and the recovery sweep below clears that
-  // field when it re-queues the producer — leaving a dangling-empty id for
-  // the final worker_lost event.
+  // Copy first: callers may pass a string this teardown itself mutates,
+  // such as a task entry's worker field, which the re-queue below clears —
+  // that would leave a dangling-empty id for the final worker_lost event.
   const std::string id = id_ref;
   auto wit = workers_.find(id);
   if (wit == workers_.end() || !wit->second.joined) return;
   WorkerSim& w = wit->second;
   const double now = sim_.now();
   ++stats_.worker_crashes;
-
-  // 1. Leave the scheduler's view: the worker stops offering capacity.
-  //    total_avail_cores_ tracks Σ(total - committed) over joined workers,
-  //    so subtract exactly this worker's available share.
-  {
-    vine::WorkerSnapshot& snap = snapshots_[w.slot];
-    total_avail_cores_ -= (w.total.cores - snap.committed.cores);
-    const std::size_t last = snapshots_.size() - 1;
-    if (w.slot != last) {
-      snapshots_[w.slot] = std::move(snapshots_[last]);
-      workers_[snapshots_[w.slot].id].slot = w.slot;
-    }
-    snapshots_.pop_back();
-  }
   w.joined = false;
 
-  // 2. Tasks assigned here: dispatched/running real tasks return to ready
-  //    (their committed cores went down with the snapshot); the worker's
-  //    synthesized library installs are erased outright — a rejoin makes
+  // 1. Tasks placed here lose their pending dispatch/completion events; the
+  //    worker's synthesized library installs die with it — a rejoin makes
   //    fresh ones.
   std::vector<std::uint64_t> dead_libraries;
   for (auto& [tid, run] : runs_) {
-    if (run.worker != id) continue;
+    const TaskEntry* task = core_.task(tid);
+    if (task == nullptr || task->worker != id) continue;
     if (run.dispatch_event) {
       sim_.cancel(run.dispatch_event);
       run.dispatch_event = 0;
@@ -1127,44 +827,18 @@ void ClusterSim::fail_worker(const std::string& id_ref) {
       sim_.cancel(run.completion_event);
       run.completion_event = 0;
     }
-    if (run.task->is_library) {
-      dead_libraries.push_back(tid);
-      continue;
-    }
-    if (run.state == TaskState::done) continue;  // lost outputs handled below
-    run.worker.clear();
-    run.committed = false;
-    run.ready_at = now;
-    set_run_state(tid, run, TaskState::ready);
-    emit_task_state(run, "ready");
-  }
-  for (std::uint64_t tid : dead_libraries) {
-    ready_runs_.erase(tid);
-    runs_.erase(tid);
+    if (run.task->is_library) dead_libraries.push_back(tid);
   }
 
-  // 3. Storage and fabric: every replica here is gone (cache dies with the
-  //    worker) and the NIC goes dark. Record what was lost first — the
-  //    recovery sweep below needs the list.
-  const std::vector<std::string> lost = replicas_.files_on(id);
-  for (const auto& name : lost) {
-    emit(vine::obs::Event::make_cache_evict(now, id, name, "worker_lost"));
-  }
-  replicas_.remove_worker(id);
+  // 2. The core drops the worker: snapshot, replicas (the cache dies with
+  //    it), transfers to and from it, lookahead state; its tasks re-queue.
+  const auto purge = core_.purge_worker(id, "worker_lost");
   net_.remove_node(w.node);
-  transfers_.remove_worker(id);
 
-  // 4. Fetches: the worker's own queue and transfer slots evaporate;
+  // 3. Fetches: the worker's own queue and transfer slots evaporate;
   //    started fetches toward it are silently aborted; started fetches
   //    *from* it fail at their destinations, which score the source and
   //    re-plan. Victims are processed in start order for determinism.
-  for (const PendingFetch& pf : worker_queue_[id]) {
-    // Queued replication copies toward the dead worker never started;
-    // refund the engine's budget so it can re-plan them elsewhere.
-    if (pf.replica) {
-      redundancy_.note_replica_done(pf.file->name, pf.dest, /*ok=*/false, 0);
-    }
-  }
   worker_queue_[id].clear();
   w.active_fetches = 0;
   std::vector<std::pair<std::uint64_t, std::string>> to_abort, to_fail;
@@ -1186,46 +860,18 @@ void ClusterSim::fail_worker(const std::string& id_ref) {
     if (pf.flow) net_.cancel_flow(pf.flow);
     if (pf.event) sim_.cancel(pf.event);
     emit(vine::obs::Event::make_transfer_end(
-        now, pf.file->name,
-        pf.replica ? "replica"
-                   : pf.prefetch ? "prefetch" : source_kind_name(pf.source.kind),
-        source_key_of(pf.source), pf.dest, pf.dest, pf.file->size, pf.uuid,
-        /*ok=*/false, "worker_lost"));
-    if (pf.replica) {
-      redundancy_.note_replica_done(pf.file->name, pf.dest, /*ok=*/false, 0);
-    }
+        now, pf.file->name, pf.label(), source_key_of(pf.source), pf.dest,
+        pf.dest, pf.file->size, pf.uuid, /*ok=*/false, "worker_lost"));
   }
   for (const auto& [_, uuid] : to_fail) fail_inflight(uuid);
-
-  // Lookahead bookkeeping: prefetches destined here died with the worker
-  // (queued ones went with worker_queue_, inflight ones with to_abort), its
-  // staged-but-unconsumed replicas are gone, and outputs expected from its
-  // re-queued tasks no longer have a predicted home.
-  for (auto it = prefetch_live_.begin(); it != prefetch_live_.end();) {
-    it = it->second.dest == id ? prefetch_live_.erase(it) : std::next(it);
-  }
-  for (auto it = prefetched_.begin(); it != prefetched_.end();) {
-    it = it->second == id ? prefetched_.erase(it) : std::next(it);
-  }
-  for (auto it = expected_outputs_.begin(); it != expected_outputs_.end();) {
-    it = it->second == id ? expected_outputs_.erase(it) : std::next(it);
+  for (std::uint64_t tid : dead_libraries) {
+    core_.erase_task(tid);
+    runs_.erase(tid);
   }
 
-  // 5. Replica repair first: survivors of the crash that fell below k are
-  //    re-queued for replication *before* the recovery sweep, so producer
-  //    re-runs fire only for temps whose every copy died.
-  if (redundancy_.enabled()) {
-    for (const std::string& name :
-         redundancy_.note_worker_lost(id, lost, replicas_)) {
-      ++stats_.replica_repairs;
-      emit(vine::obs::Event::make_replica_repair(now, id, name));
-    }
-    issue_replications(now);
-  }
-
-  // 6. Transitive recovery: temps whose last replica died get their done
-  //    producers re-queued, up the ancestor chain.
-  recover_lost_temps(lost, now);
+  // 4. Replica repair, then transitive recovery of temps whose last copy
+  //    died.
+  core_.recover_after_loss(id, purge.lost);
   emit(vine::obs::Event::make_worker_lost(now, id, "crash"));
   request_schedule();
 }
@@ -1238,54 +884,12 @@ void ClusterSim::rejoin_worker(const std::string& id) {
   worker_join(id);  // revives the flow-network node; cache starts cold
 }
 
-void ClusterSim::recover_lost_temps(const std::vector<std::string>& lost,
-                                    double now) {
-  std::vector<const SimFile*> stack;
-  std::set<std::uint64_t> visited;  // producer ids already handled
-  for (const auto& name : lost) {
-    auto it = files_.find(name);
-    if (it != files_.end()) stack.push_back(it->second.get());
-  }
-  while (!stack.empty()) {
-    const SimFile* f = stack.back();
-    stack.pop_back();
-    // Only temps need producer re-runs: archive/sharedfs/manager files
-    // refetch from their fixed source, unpacks re-run as mini-tasks.
-    if (f->origin != SimFile::Origin::temp) continue;
-    if (at_manager_.count(f->name)) continue;
-    if (replicas_.present_count(f->name) > 0) continue;  // a copy survived
-    SimTask* producer = f->producer;
-    if (producer == nullptr || visited.count(producer->id)) continue;
-    visited.insert(producer->id);
-    auto rit = runs_.find(producer->id);
-    if (rit == runs_.end()) continue;
-    TaskRun& run = rit->second;
-    if (run.state != TaskState::done) continue;  // already queued or running
-    // One recovery episode per producer: a re-produced output that dies
-    // again before any consumer ran extends the same episode.
-    if (!run.recovering) ++stats_.recoveries;
-    run.recovering = true;
-    if (redundancy_.enabled() && redundancy_.ever_satisfied(f->name)) {
-      // This temp had reached k copies and still lost them all — the
-      // replication invariant missed; the chaos soak asserts zero of these.
-      ++stats_.recoveries_replicated;
-    }
-    run.worker.clear();
-    run.committed = false;
-    run.ready_at = now;
-    set_run_state(producer->id, run, TaskState::ready);
-    emit_task_state(run, "ready");
-    // The producer's own temp inputs may be gone too — recurse upward.
-    for (const auto* in : producer->inputs) stack.push_back(in);
-  }
-}
-
 ClusterSim::PendingFetch* ClusterSim::pick_peer_victim() {
   // Deterministic choice: the oldest (min seq) live peer-sourced network
   // fetch that is not already under a fault.
   PendingFetch* best = nullptr;
   for (auto& [_, pf] : inflight_) {
-    if (pf.is_unpack || pf.corrupted) continue;
+    if (pf.kind == PendingFetch::Kind::mini_task || pf.corrupted) continue;
     if (pf.source.kind != TransferSource::Kind::worker) continue;
     if (pf.flow == 0) continue;  // already stalled (flow cancelled)
     if (best == nullptr || pf.seq < best->seq) best = &pf;
@@ -1328,25 +932,21 @@ void ClusterSim::inject_frame_corrupt() {
 void ClusterSim::delay_running_task(double duration) {
   // Deterministic choice: the running task with the lowest id.
   for (auto& [tid, run] : runs_) {
-    if (run.state != TaskState::running || run.completion_event == 0) continue;
+    if (run.completion_event == 0) continue;
+    const TaskEntry* task = core_.task(tid);
+    if (task == nullptr || task->state != TaskState::running) continue;
     ++stats_.faults_injected;
     emit(vine::obs::Event::make_fault_injected(sim_.now(), "msg_delay",
-                                               run.worker));
+                                               task->worker));
     sim_.cancel(run.completion_event);
     const double done_at =
-        std::max(run.started_at_ + run.task->duration, sim_.now()) + duration;
+        std::max(run.started_at + run.task->duration, sim_.now()) + duration;
     run.completion_event = sim_.at(done_at, [this, id = tid] {
-      TaskRun& r = runs_[id];
-      r.completion_event = 0;
-      task_complete(r);
+      runs_[id].completion_event = 0;
+      task_complete(id);
     });
     return;
   }
-}
-
-void ClusterSim::emit_task_state(const TaskRun& run, const char* state) {
-  emit(vine::obs::Event::make_task_state(sim_.now(), run.task->id, state,
-                                         run.worker, run.task->category));
 }
 
 void ClusterSim::emit_counters() {
@@ -1369,13 +969,6 @@ void ClusterSim::emit_counters() {
   emit(vine::obs::Event::make_counters(sim_.now(), std::move(snap)));
 }
 
-void ClusterSim::audit(vine::AuditReport& report) const {
-  std::set<vine::WorkerId> joined;
-  for (const auto& [id, w] : workers_) {
-    if (w.joined) joined.insert(id);
-  }
-  replicas_.audit(report, joined);
-  transfers_.audit(report);
-}
+void ClusterSim::audit(vine::AuditReport& report) const { core_.audit(report); }
 
 }  // namespace vinesim

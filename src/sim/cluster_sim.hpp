@@ -1,15 +1,15 @@
 // ClusterSim: a discrete-event TaskVine cluster at paper scale.
 //
-// The simulator reuses the *real* scheduler policies (vine::Scheduler,
-// FileReplicaTable, CurrentTransferTable) and mirrors the real manager's
-// control loop — placement by cached dependencies, transfer planning with
-// per-source limits, worker transfer queues, mini-task staging, library
-// deployment — against a fair-share flow network standing in for the
-// 10 GbE cluster fabric, a Panasas-like shared filesystem, and an external
-// archive. It exists because Figures 9-13 need 50-500 workers moving
-// hundreds of gigabytes, which a single build machine cannot host natively;
-// every mechanism measured by those figures runs the same decision code as
-// the real runtime in src/manager.
+// The simulator hosts the same vine::control::Core the real manager runs —
+// placement by cached dependencies, transfer planning with per-source
+// limits, mini-task staging, lookahead, replication and loss recovery are
+// one implementation — and supplies only the I/O: worker transfer queues
+// and library deployment against a fair-share flow network standing in for
+// the 10 GbE cluster fabric, a Panasas-like shared filesystem, and an
+// external archive. It exists because Figures 9-13 need 50-500 workers
+// moving hundreds of gigabytes, which a single build machine cannot host
+// natively; every mechanism measured by those figures runs the same
+// decision code as the real runtime in src/manager.
 #pragma once
 
 #include <deque>
@@ -24,14 +24,13 @@
 #include "common/faults.hpp"
 #include "common/invariant.hpp"
 #include "common/rng.hpp"
+#include "control/core.hpp"
 #include "factory/factory.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_sink.hpp"
-#include "redundancy/redundancy.hpp"
-#include "sched/scheduler.hpp"
+#include "obs/views.hpp"
 #include "sim/flow_network.hpp"
 #include "sim/simulation.hpp"
-#include "sim/trace.hpp"
 
 namespace vinesim {
 
@@ -136,8 +135,10 @@ struct SimTask {
   std::string pin_worker;   ///< optional placement pin
 };
 
-/// Aggregate counters for the bench summaries.
-struct SimStats {
+/// Aggregate counters for the bench summaries. The scheduling counters
+/// (sched_passes, tasks_scanned, cache_hits, prefetch hits/issued,
+/// recoveries, replica repairs) come from the control core.
+struct SimStats : vine::control::ControlStats {
   std::int64_t transfers_from_archive = 0;
   std::int64_t transfers_from_sharedfs = 0;
   std::int64_t transfers_from_manager = 0;
@@ -149,17 +150,12 @@ struct SimStats {
   std::int64_t bytes_from_manager = 0;
   std::int64_t bytes_from_peers = 0;
   std::int64_t bytes_to_manager = 0;
-  std::int64_t cache_hits = 0;
   int tasks_done = 0;
   int tasks_unfinished = 0;
-  std::int64_t sched_passes = 0;   ///< schedule_pass invocations
-  std::int64_t tasks_scanned = 0;  ///< ready tasks examined across all passes
 
   // ---- lookahead input prefetch (sched.prefetch_* counters) ----
   std::int64_t transfers_prefetch = 0;  ///< completed prefetch transfers
   std::int64_t bytes_prefetch = 0;      ///< bytes moved by completed prefetches
-  std::int64_t prefetch_issued = 0;     ///< prefetch transfers started
-  std::int64_t prefetch_hits = 0;       ///< placed task found a prefetched input
   std::int64_t prefetch_cancelled = 0;  ///< cancelled (stale prediction)
   std::int64_t prefetch_wasted_bytes = 0;  ///< bytes moved by cancelled prefetches
 
@@ -173,20 +169,15 @@ struct SimStats {
   int worker_rejoins = 0;     ///< crashed workers that came back
   int faults_injected = 0;    ///< fault-plan events that found a target
   int transfer_failures = 0;  ///< fetches that failed (injected or crash)
-  int recoveries = 0;         ///< recovery episodes (producer re-run chains)
 
   // ---- redundancy & elasticity (advance only when the knobs are on) ----
   std::int64_t replications = 0;        ///< completed replication transfers
   std::int64_t replication_bytes = 0;   ///< bytes moved by completed replications
-  std::int64_t replica_repairs = 0;     ///< survivors re-queued after a holder died
-  /// Producer re-runs for temps that had reached k copies at some point —
-  /// each one is a replication invariant miss (the soak asserts zero).
-  std::int64_t recoveries_replicated = 0;
   int factory_spawned = 0;  ///< workers the elastic factory brought up
   int factory_retired = 0;  ///< idle factory workers gracefully retired
 };
 
-class ClusterSim {
+class ClusterSim : private vine::control::Host {
  public:
   explicit ClusterSim(SimConfig config);
 
@@ -242,9 +233,8 @@ class ClusterSim {
   /// Workers currently joined (survives crashes/rejoins).
   std::size_t joined_workers() const;
 
-  /// Catalog consistency sweep: replica table (with membership against the
-  /// joined worker set) and transfer table. Chaos tests run this at
-  /// quiescent points and after every crash.
+  /// Catalog and control-core consistency sweep (control::Core::audit).
+  /// Chaos tests run this at quiescent points and after every crash.
   void audit(vine::AuditReport& report) const;
 
   /// The Figure-12 views derived from the event stream.
@@ -259,7 +249,6 @@ class ClusterSim {
   struct WorkerSim {
     vine::Resources total{
         .cores = 0, .memory_mb = 0, .disk_mb = 0, .gpus = 0};
-    std::size_t slot = 0;    ///< index into snapshots_; valid once joined
     NodeToken node = kInvalidNode;  ///< flow-network port; valid once joined
     double join_at = 0;
     bool joined = false;
@@ -268,56 +257,60 @@ class ClusterSim {
   };
 
   struct PendingFetch {
+    using Kind = vine::control::Transfer::Kind;
     std::string uuid;
     const SimFile* file = nullptr;
     std::string dest;
     vine::TransferSource source;
-    bool is_unpack = false;
+    /// mini_task = unpack at the destination; prefetch and replica are the
+    /// background class (lower priority; a replica is pinned on arrival).
+    Kind kind = Kind::fetch;
     FlowId flow = 0;        ///< network fetch: the flow moving the bytes
     EventId event = 0;      ///< unpack completion / stall-timeout event
     std::uint64_t seq = 0;  ///< start order; fault victims picked by min seq
     bool corrupted = false; ///< frame_corrupt: digest check fails on arrival
-    bool prefetch = false;  ///< lookahead background staging (lower priority)
-    bool replica = false;   ///< redundancy copy (background class, pinned on arrival)
+
+    bool background() const { return kind == Kind::prefetch || kind == Kind::replica; }
+    const char* label() const { return vine::control::transfer_label(kind, source.kind); }
   };
 
+  /// Per-task simulation state; placement and task state live in core_.
   struct TaskRun {
     SimTask* task = nullptr;
-    vine::TaskState state = vine::TaskState::ready;
-    std::string worker;
-    bool committed = false;
-    double ready_at = 0;
-    double started_at_ = 0;
+    double started_at = 0;
     EventId dispatch_event = 0;    ///< pending dispatch; cancelled on crash
     EventId completion_event = 0;  ///< pending completion; cancelled on crash
-    /// A lost-temp recovery of this producer is still in flight: set when
-    /// recovery re-queues it, cleared when a consumer of one of its outputs
-    /// completes. Guards stats_.recoveries against double-counting one
-    /// logical episode across repeated losses (mirrors the manager).
-    bool recovering = false;
   };
 
+  // ---- control::Host: the simulated I/O behind the core's decisions ----
+  bool move_bytes(const vine::control::Transfer& t) override;
+  void dispatch(vine::control::TaskEntry& task) override;
+  /// Tear the prefetch down now (dequeue it or cancel its flow) and write
+  /// the bytes it already moved off as waste.
+  void cancel_transfer(const std::string& uuid,
+                       const vine::control::PrefetchTrack& track) override;
+  void emit(vine::obs::Event ev) override { sink_->emit("sim", std::move(ev)); }
+  double now() const override { return sim_.now(); }
+  bool held_at_manager(const std::string& name) const override {
+    return at_manager_.count(name) > 0;
+  }
+  bool arriving_at_manager(const std::string& name) const override {
+    return retrieving_.count(name) > 0;
+  }
+
+  /// The FileDecl the core sees for `file`, built once and memoized.
+  /// Temps carry kind temp and their producer; unpacks become mini-tasks
+  /// over their archive; archive/sharedfs files are urls named by the file.
+  vine::FileRef decl_of(const SimFile* file);
+  /// Hand task `id` to the core (it enters the ready set now).
+  void submit(std::uint64_t id);
   void worker_join(const std::string& id);
   void request_schedule();
-  void schedule_pass();
-  // ---- lookahead pass (no-ops unless config_.sched.lookahead.enabled) ----
-  /// Rebuild dag_view_ from the waiting frontier of ready_runs_ and seed
-  /// expected output locations from already-placed producers.
-  void build_dag_view(double now);
-  /// Issue the pass's planned background prefetches.
-  void issue_prefetches(double now);
-  /// Cancel live prefetches whose predicted consumer landed elsewhere
-  /// (or vanished); accounts cancelled count and wasted bytes.
-  void cancel_stale_prefetches();
-  /// Ask the redundancy engine for replica transfers and enqueue them as
-  /// background fetches (pinned at the destination on completion).
-  void issue_replications(double now);
   /// Feed the factory one pass worth of signals and execute its verdict.
   void evaluate_factory(double now);
   /// Gracefully retire one provably idle, fully replicated factory worker;
   /// false when no candidate qualifies.
   bool retire_idle_worker(double now);
-  bool ensure_file_at(const SimFile* file, const std::string& worker);
   void enqueue_fetch(PendingFetch fetch);
   void start_next_fetches(const std::string& worker);
   void start_fetch(PendingFetch fetch);
@@ -340,19 +333,9 @@ class ClusterSim {
   void inject_frame_corrupt();
   void delay_running_task(double duration);
   void maybe_fire_task_triggers(const std::string& worker);
-  /// Re-queue the done producers of temps that lost their last replica,
-  /// transitively up the ancestor chain (cycle-safe via a visited set).
-  void recover_lost_temps(const std::vector<std::string>& lost, double now);
-  void dispatch(TaskRun& run);
-  /// Every run-state transition goes through here so ready_runs_ (the
-  /// queue schedule_pass walks) stays in lockstep with the states.
-  void set_run_state(std::uint64_t id, TaskRun& run, vine::TaskState state);
-  void task_complete(TaskRun& run);
+  void task_complete(std::uint64_t id);
   void retrieve_output(const SimFile* file, const std::string& worker);
 
-  // ---- obs emission (emitter "sim") ----
-  void emit(vine::obs::Event ev) { sink_->emit("sim", std::move(ev)); }
-  void emit_task_state(const TaskRun& run, const char* state);
   /// Expose SimStats through the MetricsRegistry and emit the final
   /// `counters` snapshot event (end of run()).
   void emit_counters();
@@ -367,27 +350,21 @@ class ClusterSim {
   NodeToken manager_node_ = kInvalidNode;
   NodeToken archive_node_ = kInvalidNode;
   NodeToken sharedfs_node_ = kInvalidNode;
-  vine::Scheduler scheduler_;
   vine::Rng rng_;
-  // ---- redundancy & elasticity (inert while their configs are off) ----
-  vine::redundancy::RedundancyEngine redundancy_;
+  SimStats stats_;
+  // Task view, worker snapshots, replica/transfer tables, lookahead and
+  // redundancy state: every scheduling decision.
+  vine::control::Core core_;
+  // ---- elasticity (inert while the factory config is off) ----
   vine::factory::WorkerFactory factory_;
   int next_factory_worker_ = 1;  ///< fw<N> id allocator
 
   std::map<std::string, std::unique_ptr<SimFile>> files_;
+  std::map<const SimFile*, std::shared_ptr<vine::FileDecl>> decls_;
   std::vector<std::unique_ptr<SimTask>> tasks_;
   std::map<std::uint64_t, TaskRun> runs_;
-  // Ids of runs in TaskState::ready — the only runs a schedule pass must
-  // visit. Ordered so the pass walks ascending ids like the old full scan.
-  std::set<std::uint64_t> ready_runs_;
   std::map<std::string, WorkerSim> workers_;
   std::vector<std::string> worker_order_;
-  // Dense scheduler view, one snapshot per *joined* worker (join order),
-  // maintained incrementally at every commit/release so a schedule pass
-  // never rebuilds it. A crash swap-pops the worker's slot (the displaced
-  // worker's slot index is patched); a rejoin appends a fresh one.
-  std::vector<vine::WorkerSnapshot> snapshots_;
-  double total_avail_cores_ = 0;  ///< Σ available().cores over snapshots_
 
   struct LibraryDef {
     std::string name;
@@ -397,28 +374,10 @@ class ClusterSim {
   };
   std::vector<LibraryDef> libraries_;
 
-  vine::FileReplicaTable replicas_;
-  vine::CurrentTransferTable transfers_;
   std::map<std::string, PendingFetch> inflight_;     // uuid -> fetch
   std::map<std::string, std::deque<PendingFetch>> worker_queue_;
   std::set<std::string> at_manager_;  ///< temp files retrieved to manager
-
-  // ---- lookahead state (all empty while the knob is off) ----
-  vine::DagView dag_view_;  ///< per-pass waiting-frontier view
-  /// Not-yet-materialized output name -> worker its producer was placed on.
-  /// Maintained at placement / completion / crash-requeue; seeds the
-  /// DagView's expected locations each pass.
-  std::map<std::string, std::string> expected_outputs_;
-  struct PrefetchTrack {
-    const SimFile* file = nullptr;
-    std::string dest;
-    vine::WorkerId src;
-    std::uint64_t consumer = 0;
-  };
-  std::map<std::string, PrefetchTrack> prefetch_live_;  // uuid -> track
-  /// (cache_name, worker) pairs whose replica arrived via prefetch and has
-  /// not yet been claimed by a placement (claimed = prefetch hit).
-  std::set<std::pair<std::string, std::string>> prefetched_;
+  std::set<std::string> retrieving_;  ///< temp files on their way there
 
   // Fault-plan events with after_tasks triggers, waiting on the target
   // worker's Nth real-task completion.
@@ -426,7 +385,6 @@ class ClusterSim {
 
   std::shared_ptr<vine::obs::TraceSink> sink_;
   vine::obs::MetricsRegistry metrics_;
-  SimStats stats_;
   double makespan_ = 0;
   double next_dispatch_at_ = 0;
   bool pass_scheduled_ = false;

@@ -2,8 +2,9 @@
 // real LocalCluster and on vinesim::ClusterSim, both with tracing on, and
 // the two event streams must agree on the structural facts the paper's
 // model cares about — the set of completed tasks, a dependency-respecting
-// completion order, the worker each pinned task ran on, and the transfer
-// source kind that materialized each logical file.
+// completion order, the worker each pinned task ran on, and which worker
+// received each logical file from which source kind. Neither stream may
+// record a scheduler pass that examined nothing.
 //
 // The DAG pins tasks to exercise all three source kinds at once:
 //   task 1 @ w0:  url input U (worker downloads it)      -> source "url"
@@ -32,13 +33,17 @@ using namespace std::chrono_literals;
 using obs::Event;
 using obs::EventKind;
 
+/// (destination worker, transfer source kind) of one materialization.
+using Delivery = std::pair<std::string, std::string>;
+
 /// The structural digest both halves must agree on. `file` keys are the
 /// *logical* names (U, B, T1) — callers translate their half's cache names.
 struct TraceDigest {
   std::set<std::uint64_t> tasks_done;
   std::map<std::uint64_t, std::uint64_t> done_seq;    ///< task -> seq of done
   std::map<std::uint64_t, std::string> ran_on;        ///< task -> worker
-  std::map<std::string, std::set<std::string>> file_sources;  ///< file -> kinds
+  std::map<std::string, std::set<Delivery>> file_sources;  ///< file -> deliveries
+  int empty_passes = 0;  ///< sched_pass events with scanned == 0
 };
 
 TraceDigest digest(const std::vector<Event>& events,
@@ -53,9 +58,10 @@ TraceDigest digest(const std::vector<Event>& events,
     if (ev.kind == EventKind::transfer_end && ev.ok) {
       auto it = cache_to_logical.find(ev.file);
       if (it != cache_to_logical.end()) {
-        d.file_sources[it->second].insert(ev.source);
+        d.file_sources[it->second].insert({ev.dest, ev.source});
       }
     }
+    if (ev.kind == EventKind::sched_pass && ev.scanned == 0) ++d.empty_passes;
   }
   return d;
 }
@@ -156,12 +162,17 @@ TEST(Differential, SameDagAgreesAcrossRuntimeAndSim) {
   EXPECT_EQ(rt.ran_on.at(1), "w0");
   EXPECT_EQ(rt.ran_on.at(2), "w1");
 
-  // Every logical file materialized from the same source kind on both
-  // halves: U from the url, B from the manager, T1 from a peer worker.
-  const std::map<std::string, std::set<std::string>> want = {
-      {"U", {"url"}}, {"B", {"manager"}}, {"T1", {"worker"}}};
+  // Every logical file reached the same worker from the same source kind on
+  // both halves: U from the url and B from the manager to w0, T1 from a
+  // peer to w1.
+  const std::map<std::string, std::set<Delivery>> want = {
+      {"U", {{"w0", "url"}}}, {"B", {{"w0", "manager"}}}, {"T1", {{"w1", "worker"}}}};
   EXPECT_EQ(rt.file_sources, want);
   EXPECT_EQ(sim.file_sources, want);
+
+  // Idle passes are counted, never traced.
+  EXPECT_EQ(rt.empty_passes, 0);
+  EXPECT_EQ(sim.empty_passes, 0);
 }
 
 // ---------------------------------------------------- generated workloads ----
@@ -169,8 +180,8 @@ TEST(Differential, SameDagAgreesAcrossRuntimeAndSim) {
 // One small generated instance per shape family through both halves via the
 // wfgen replay harness, with round-robin pinning forcing identical
 // placement. The halves must agree on the completed task set, the worker
-// each task ran on, the transfer source kind behind every logical file, and
-// a dependency-respecting completion order.
+// each task ran on, the destination and source kind of every logical
+// file's transfers, and a dependency-respecting completion order.
 TEST(Differential, GeneratedWorkloadsAgreeAcrossRuntimeAndSim) {
   using wfgen::Dist;
   using wfgen::Shape;
@@ -231,6 +242,8 @@ TEST(Differential, GeneratedWorkloadsAgreeAcrossRuntimeAndSim) {
     EXPECT_EQ(rt.tasks_done, sim.tasks_done);
     EXPECT_EQ(rt.ran_on, sim.ran_on);  // round-robin pins honored identically
     EXPECT_EQ(rt.file_sources, sim.file_sources);
+    EXPECT_EQ(rt.empty_passes, 0);
+    EXPECT_EQ(sim.empty_passes, 0);
 
     // Dependency-respecting completion order in both halves: every parent's
     // done event precedes its child's. Task N of the instance is id N.

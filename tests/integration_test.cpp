@@ -380,6 +380,11 @@ TEST(Integration, ServerlessLibraryAndFunctionCalls) {
   EXPECT_TRUE(outputs.count("model-v1:0"));
   // Startup paid once per worker, not once per call (the paper's claim).
   EXPECT_LE(init_count.load(), 2);
+  // One instance can serve every call before the other reports ready;
+  // give the second one up to 2 s to come up.
+  for (int i = 0; i < 100 && m.library_instances("itest.bgd") < 2; ++i) {
+    m.poll(20ms);
+  }
   EXPECT_EQ(m.library_instances("itest.bgd"), 2);
 }
 

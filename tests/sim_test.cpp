@@ -5,13 +5,15 @@
 
 #include <cstdint>
 
+#include "obs/views.hpp"
 #include "sim/cluster_sim.hpp"
 #include "sim/flow_network.hpp"
 #include "sim/simulation.hpp"
-#include "sim/trace.hpp"
 
 namespace vinesim {
 namespace {
+
+using vine::obs::WorkerState;
 
 // ------------------------------------------------------------ Simulation
 

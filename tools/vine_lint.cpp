@@ -22,6 +22,10 @@
 //                    early return or exception between them leaks the lock
 //   detached-thread  std::thread::detach(); detached threads outlive their
 //                    owner and race teardown — every thread must be joined
+//   control-fork     a definition of schedule_pass, build_dag_view,
+//                    issue_prefetches, cancel_stale_prefetches,
+//                    issue_replications or recover_lost_* outside control/;
+//                    the scheduling pass exists once, in control::Core
 //
 // Findings can be vetted via an allowlist file where every entry carries a
 // justification (see tools/vine_lint_allowlist.txt). Exit status is nonzero
@@ -135,6 +139,40 @@ std::vector<std::string> code_view(const std::vector<std::string>& raw) {
   return out;
 }
 
+// True when `line` defines (rather than calls or declares) a function named
+// `name` — or, when `name` ends in '_', any function with that prefix: the
+// name is followed by '(', preceded by a return type or a Class:: qualifier,
+// and the line does not end in ';'.
+bool defines_function(const std::string& line, const std::string& name) {
+  const bool prefix = name.back() == '_';
+  const std::string t = trim(line);
+  if (t.empty() || t.back() == ';') return false;
+  std::size_t pos = 0;
+  while ((pos = line.find(name, pos)) != std::string::npos) {
+    const std::size_t start = pos;
+    pos += name.size();
+    if (start > 0 && is_ident_char(line[start - 1])) continue;
+    std::size_t after = pos;
+    if (prefix) {
+      while (after < line.size() && is_ident_char(line[after])) ++after;
+    } else if (after < line.size() && is_ident_char(line[after])) {
+      continue;
+    }
+    while (after < line.size() && line[after] == ' ') ++after;
+    if (after >= line.size() || line[after] != '(') continue;
+    std::string before = trim(line.substr(0, start));
+    if (before.size() >= 2 && before.compare(before.size() - 2, 2, "::") == 0) {
+      before.resize(before.size() - 2);
+    }
+    if (before.empty()) continue;
+    const char last = before.back();
+    if (is_ident_char(last) || last == '*' || last == '&' || last == '>') {
+      return true;
+    }
+  }
+  return false;
+}
+
 bool has_lock_comment(const std::vector<std::string>& raw, std::size_t idx) {
   auto mentions_discipline = [](const std::string& s) {
     return s.find("Guards") != std::string::npos ||
@@ -176,6 +214,8 @@ void scan_file(const fs::path& file, const std::string& rel,
   // The reactor owns every socket syscall in the tree; even the rest of
   // net/ (tcp.cpp adapters, channel transport) must stay I/O-free.
   const bool is_reactor_impl = rel == "net/reactor.cpp";
+  // The one home of the scheduling pass and its helpers.
+  const bool is_control = rel.rfind("control/", 0) == 0;
 
   for (std::size_t i = 0; i < code.size(); ++i) {
     const std::string& c = code[i];
@@ -385,6 +425,25 @@ void scan_file(const fs::path& file, const std::string& rel,
           add(i, "detached-thread",
               "std::thread::detach() is banned; track the thread and join it "
               "at shutdown");
+        }
+      }
+    }
+
+    // control-fork: Manager and ClusterSim once each carried a copy of the
+    // scheduling pass, and the copies drifted apart unseen. The pass, the
+    // lookahead and replication issue, and lost-temp recovery are defined
+    // once, in control::Core; hosts only call them.
+    if (!is_control) {
+      for (const char* fn : {"schedule_pass", "build_dag_view", "issue_prefetches",
+                             "cancel_stale_prefetches", "issue_replications",
+                             "recover_lost_"}) {
+        if (defines_function(c, fn)) {
+          add(i, "control-fork",
+              std::string(fn) +
+                  (fn[std::string(fn).size() - 1] == '_' ? "*" : "") +
+                  " defined outside control/; the scheduling pass lives in "
+                  "control::Core");
+          break;
         }
       }
     }
