@@ -7,28 +7,7 @@
 namespace vine {
 namespace {
 
-// Per-round shift amounts (RFC 1321).
-constexpr std::uint32_t kShift[64] = {
-    7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22,
-    5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20,
-    4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23,
-    6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21};
-
-// K[i] = floor(2^32 * abs(sin(i+1))).
-constexpr std::uint32_t kSine[64] = {
-    0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a,
-    0xa8304613, 0xfd469501, 0x698098d8, 0x8b44f7af, 0xffff5bb1, 0x895cd7be,
-    0x6b901122, 0xfd987193, 0xa679438e, 0x49b40821, 0xf61e2562, 0xc040b340,
-    0x265e5a51, 0xe9b6c7aa, 0xd62f105d, 0x02441453, 0xd8a1e681, 0xe7d3fbc8,
-    0x21e1cde6, 0xc33707d6, 0xf4d50d87, 0x455a14ed, 0xa9e3e905, 0xfcefa3f8,
-    0x676f02d9, 0x8d2a4c8a, 0xfffa3942, 0x8771f681, 0x6d9d6122, 0xfde5380c,
-    0xa4beea44, 0x4bdecfa9, 0xf6bb4b60, 0xbebfbc70, 0x289b7ec6, 0xeaa127fa,
-    0xd4ef3085, 0x04881d05, 0xd9d4d039, 0xe6db99e5, 0x1fa27cf8, 0xc4ac5665,
-    0xf4292244, 0x432aff97, 0xab9423a7, 0xfc93a039, 0x655b59c3, 0x8f0ccc92,
-    0xffeff47d, 0x85845dd1, 0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1,
-    0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391};
-
-std::uint32_t rotl(std::uint32_t x, std::uint32_t c) {
+constexpr std::uint32_t rotl(std::uint32_t x, int c) {
   return (x << c) | (x >> (32 - c));
 }
 
@@ -57,40 +36,109 @@ void Md5::reset() {
   buffered_ = 0;
 }
 
+// The four RFC 1321 auxiliary functions. F and G are bit selects, written
+// with one and and two xors instead of the spec's and-not-or form.
+#define VINE_MD5_F(x, y, z) ((z) ^ ((x) & ((y) ^ (z))))
+#define VINE_MD5_G(x, y, z) ((y) ^ ((z) & ((x) ^ (y))))
+#define VINE_MD5_H(x, y, z) ((x) ^ (y) ^ (z))
+#define VINE_MD5_I(x, y, z) ((y) ^ ((x) | ~(z)))
+
+// One step: a = b + ((a + f(b,c,d) + m + k) <<< s), where k is the RFC's
+// T[i] = floor(2^32 * |sin(i + 1)|). Every shift, message index and
+// constant is a literal, so the block compiles to straight-line register
+// code with no branches or table loads.
+#define VINE_MD5_STEP(f, a, b, c, d, m, k, s) \
+  (a) = (b) + rotl((a) + f((b), (c), (d)) + (m) + (k), (s))
+
 void Md5::process_block(const std::uint8_t* block) {
   std::uint32_t m[16];
   for (int i = 0; i < 16; ++i) m[i] = load_le32(block + 4 * i);
 
   std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
 
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t f;
-    int g;
-    if (i < 16) {
-      f = (b & c) | (~b & d);
-      g = i;
-    } else if (i < 32) {
-      f = (d & b) | (~d & c);
-      g = (5 * i + 1) & 15;
-    } else if (i < 48) {
-      f = b ^ c ^ d;
-      g = (3 * i + 5) & 15;
-    } else {
-      f = c ^ (b | ~d);
-      g = (7 * i) & 15;
-    }
-    std::uint32_t tmp = d;
-    d = c;
-    c = b;
-    b = b + rotl(a + f + kSine[i] + m[g], kShift[i]);
-    a = tmp;
-  }
+  // Round 1: message words in order.
+  VINE_MD5_STEP(VINE_MD5_F, a, b, c, d, m[0], 0xd76aa478, 7);
+  VINE_MD5_STEP(VINE_MD5_F, d, a, b, c, m[1], 0xe8c7b756, 12);
+  VINE_MD5_STEP(VINE_MD5_F, c, d, a, b, m[2], 0x242070db, 17);
+  VINE_MD5_STEP(VINE_MD5_F, b, c, d, a, m[3], 0xc1bdceee, 22);
+  VINE_MD5_STEP(VINE_MD5_F, a, b, c, d, m[4], 0xf57c0faf, 7);
+  VINE_MD5_STEP(VINE_MD5_F, d, a, b, c, m[5], 0x4787c62a, 12);
+  VINE_MD5_STEP(VINE_MD5_F, c, d, a, b, m[6], 0xa8304613, 17);
+  VINE_MD5_STEP(VINE_MD5_F, b, c, d, a, m[7], 0xfd469501, 22);
+  VINE_MD5_STEP(VINE_MD5_F, a, b, c, d, m[8], 0x698098d8, 7);
+  VINE_MD5_STEP(VINE_MD5_F, d, a, b, c, m[9], 0x8b44f7af, 12);
+  VINE_MD5_STEP(VINE_MD5_F, c, d, a, b, m[10], 0xffff5bb1, 17);
+  VINE_MD5_STEP(VINE_MD5_F, b, c, d, a, m[11], 0x895cd7be, 22);
+  VINE_MD5_STEP(VINE_MD5_F, a, b, c, d, m[12], 0x6b901122, 7);
+  VINE_MD5_STEP(VINE_MD5_F, d, a, b, c, m[13], 0xfd987193, 12);
+  VINE_MD5_STEP(VINE_MD5_F, c, d, a, b, m[14], 0xa679438e, 17);
+  VINE_MD5_STEP(VINE_MD5_F, b, c, d, a, m[15], 0x49b40821, 22);
+
+  // Round 2: message index (5i + 1) mod 16.
+  VINE_MD5_STEP(VINE_MD5_G, a, b, c, d, m[1], 0xf61e2562, 5);
+  VINE_MD5_STEP(VINE_MD5_G, d, a, b, c, m[6], 0xc040b340, 9);
+  VINE_MD5_STEP(VINE_MD5_G, c, d, a, b, m[11], 0x265e5a51, 14);
+  VINE_MD5_STEP(VINE_MD5_G, b, c, d, a, m[0], 0xe9b6c7aa, 20);
+  VINE_MD5_STEP(VINE_MD5_G, a, b, c, d, m[5], 0xd62f105d, 5);
+  VINE_MD5_STEP(VINE_MD5_G, d, a, b, c, m[10], 0x02441453, 9);
+  VINE_MD5_STEP(VINE_MD5_G, c, d, a, b, m[15], 0xd8a1e681, 14);
+  VINE_MD5_STEP(VINE_MD5_G, b, c, d, a, m[4], 0xe7d3fbc8, 20);
+  VINE_MD5_STEP(VINE_MD5_G, a, b, c, d, m[9], 0x21e1cde6, 5);
+  VINE_MD5_STEP(VINE_MD5_G, d, a, b, c, m[14], 0xc33707d6, 9);
+  VINE_MD5_STEP(VINE_MD5_G, c, d, a, b, m[3], 0xf4d50d87, 14);
+  VINE_MD5_STEP(VINE_MD5_G, b, c, d, a, m[8], 0x455a14ed, 20);
+  VINE_MD5_STEP(VINE_MD5_G, a, b, c, d, m[13], 0xa9e3e905, 5);
+  VINE_MD5_STEP(VINE_MD5_G, d, a, b, c, m[2], 0xfcefa3f8, 9);
+  VINE_MD5_STEP(VINE_MD5_G, c, d, a, b, m[7], 0x676f02d9, 14);
+  VINE_MD5_STEP(VINE_MD5_G, b, c, d, a, m[12], 0x8d2a4c8a, 20);
+
+  // Round 3: message index (3i + 5) mod 16.
+  VINE_MD5_STEP(VINE_MD5_H, a, b, c, d, m[5], 0xfffa3942, 4);
+  VINE_MD5_STEP(VINE_MD5_H, d, a, b, c, m[8], 0x8771f681, 11);
+  VINE_MD5_STEP(VINE_MD5_H, c, d, a, b, m[11], 0x6d9d6122, 16);
+  VINE_MD5_STEP(VINE_MD5_H, b, c, d, a, m[14], 0xfde5380c, 23);
+  VINE_MD5_STEP(VINE_MD5_H, a, b, c, d, m[1], 0xa4beea44, 4);
+  VINE_MD5_STEP(VINE_MD5_H, d, a, b, c, m[4], 0x4bdecfa9, 11);
+  VINE_MD5_STEP(VINE_MD5_H, c, d, a, b, m[7], 0xf6bb4b60, 16);
+  VINE_MD5_STEP(VINE_MD5_H, b, c, d, a, m[10], 0xbebfbc70, 23);
+  VINE_MD5_STEP(VINE_MD5_H, a, b, c, d, m[13], 0x289b7ec6, 4);
+  VINE_MD5_STEP(VINE_MD5_H, d, a, b, c, m[0], 0xeaa127fa, 11);
+  VINE_MD5_STEP(VINE_MD5_H, c, d, a, b, m[3], 0xd4ef3085, 16);
+  VINE_MD5_STEP(VINE_MD5_H, b, c, d, a, m[6], 0x04881d05, 23);
+  VINE_MD5_STEP(VINE_MD5_H, a, b, c, d, m[9], 0xd9d4d039, 4);
+  VINE_MD5_STEP(VINE_MD5_H, d, a, b, c, m[12], 0xe6db99e5, 11);
+  VINE_MD5_STEP(VINE_MD5_H, c, d, a, b, m[15], 0x1fa27cf8, 16);
+  VINE_MD5_STEP(VINE_MD5_H, b, c, d, a, m[2], 0xc4ac5665, 23);
+
+  // Round 4: message index 7i mod 16.
+  VINE_MD5_STEP(VINE_MD5_I, a, b, c, d, m[0], 0xf4292244, 6);
+  VINE_MD5_STEP(VINE_MD5_I, d, a, b, c, m[7], 0x432aff97, 10);
+  VINE_MD5_STEP(VINE_MD5_I, c, d, a, b, m[14], 0xab9423a7, 15);
+  VINE_MD5_STEP(VINE_MD5_I, b, c, d, a, m[5], 0xfc93a039, 21);
+  VINE_MD5_STEP(VINE_MD5_I, a, b, c, d, m[12], 0x655b59c3, 6);
+  VINE_MD5_STEP(VINE_MD5_I, d, a, b, c, m[3], 0x8f0ccc92, 10);
+  VINE_MD5_STEP(VINE_MD5_I, c, d, a, b, m[10], 0xffeff47d, 15);
+  VINE_MD5_STEP(VINE_MD5_I, b, c, d, a, m[1], 0x85845dd1, 21);
+  VINE_MD5_STEP(VINE_MD5_I, a, b, c, d, m[8], 0x6fa87e4f, 6);
+  VINE_MD5_STEP(VINE_MD5_I, d, a, b, c, m[15], 0xfe2ce6e0, 10);
+  VINE_MD5_STEP(VINE_MD5_I, c, d, a, b, m[6], 0xa3014314, 15);
+  VINE_MD5_STEP(VINE_MD5_I, b, c, d, a, m[13], 0x4e0811a1, 21);
+  VINE_MD5_STEP(VINE_MD5_I, a, b, c, d, m[4], 0xf7537e82, 6);
+  VINE_MD5_STEP(VINE_MD5_I, d, a, b, c, m[11], 0xbd3af235, 10);
+  VINE_MD5_STEP(VINE_MD5_I, c, d, a, b, m[2], 0x2ad7d2bb, 15);
+  VINE_MD5_STEP(VINE_MD5_I, b, c, d, a, m[9], 0xeb86d391, 21);
 
   state_[0] += a;
   state_[1] += b;
   state_[2] += c;
   state_[3] += d;
 }
+
+#undef VINE_MD5_STEP
+#undef VINE_MD5_I
+#undef VINE_MD5_H
+#undef VINE_MD5_G
+#undef VINE_MD5_F
 
 void Md5::update(std::span<const std::byte> data) {
   const auto* p = reinterpret_cast<const std::uint8_t*>(data.data());

@@ -134,15 +134,16 @@ Status CacheStore::validate_name(const std::string& name) const {
 }
 
 Status CacheStore::put_bytes(const std::string& name, std::string_view bytes,
-                             CacheLevel level) {
+                             CacheLevel level, std::string digest) {
   VINE_TRY_STATUS(validate_name(name));
+  // The bytes are already in memory: hashing now (outside the lock) spares
+  // the first zero-copy serve a full re-read of the object.
+  if (digest.empty()) digest = md5_buffer(bytes);
   MutexLock lock(mutex_);
   VINE_TRY_STATUS(make_room(static_cast<std::int64_t>(bytes.size())));
   VINE_TRY_STATUS(write_file_atomic(path_of(name), bytes));
-  // The bytes are already in memory: hashing now is one extra pass and
-  // spares the first zero-copy serve a full re-read of the object.
   entries_[name] = {level, static_cast<std::int64_t>(bytes.size()), false,
-                    ++access_tick_, false, md5_buffer(bytes)};
+                    ++access_tick_, false, std::move(digest)};
   trace_insert(name, static_cast<std::int64_t>(bytes.size()), "store");
   return Status::success();
 }
@@ -260,7 +261,7 @@ Result<std::pair<std::string, bool>> CacheStore::read_for_transfer(
   return std::make_pair(std::move(bytes), false);
 }
 
-Result<ServeInfo> CacheStore::serve_info(const std::string& name) {
+Result<ServeInfo> CacheStore::serve_info(const std::string& name, bool attest) {
   fs::path path;
   {
     MutexLock lock(mutex_);
@@ -272,13 +273,14 @@ Result<ServeInfo> CacheStore::serve_info(const std::string& name) {
     if (it->second.is_dir) {
       return ServeInfo{path_of(name), it->second.size, true, {}};
     }
-    if (!it->second.digest.empty()) {
+    const bool content_named = name.rfind("md5-", 0) == 0;
+    if (!it->second.digest.empty() || (!attest && !content_named)) {
       return ServeInfo{path_of(name), it->second.size, false,
                        it->second.digest};
     }
     path = path_of(name);
   }
-  // First serve of this object: hash outside the lock (reads every byte).
+  // First hash of this object: outside the lock (reads every byte).
   VINE_TRY(std::string digest, md5_file(path));
   if (name.rfind("md5-", 0) == 0 && "md5-" + digest != name) {
     return Error{Errc::io_error, "cached object " + name +

@@ -37,9 +37,9 @@ struct CacheEntry {
   /// input, or a peer pulls it) promotes the entry to a normal one.
   bool prefetch = false;
   /// Memoized md5 hex of the file content; empty until first computed
-  /// (put_bytes hashes inline while the data is in memory, everything else
-  /// lazily on first serve). Directories never carry one — their transfer
-  /// digest covers the packed archive, not the tree.
+  /// (put_bytes records it while the data is in memory, everything else
+  /// lazily on the first attested serve). Directories never carry one —
+  /// their transfer digest covers the packed archive, not the tree.
   std::string digest;
   /// Redundancy replica: the manager pinned this object because it may be
   /// the invariant-holding copy of a temp. Capacity pressure must never
@@ -76,8 +76,11 @@ class CacheStore {
   void set_trace(std::shared_ptr<obs::TraceSink> sink, const Clock* clock,
                  std::string emitter, std::string worker);
 
-  /// Store literal bytes under `name`.
-  Status put_bytes(const std::string& name, std::string_view bytes, CacheLevel level);
+  /// Store literal bytes under `name`. `digest` is the md5 hex of `bytes`
+  /// when the caller already computed it (a peer fetch checks the sender's
+  /// attestation before storing); empty means hash the bytes here.
+  Status put_bytes(const std::string& name, std::string_view bytes,
+                   CacheLevel level, std::string digest = {});
 
   /// Store a directory tree delivered as a vpak archive.
   Status put_archive(const std::string& name, std::string_view archive_bytes,
@@ -99,14 +102,17 @@ class CacheStore {
   /// directory -> vpak archive (is_dir tells the receiver which).
   Result<std::pair<std::string, bool>> read_for_transfer(const std::string& name) const;
 
-  /// Path + size + attestation digest for serving a file object straight
-  /// off disk (sendfile zero-copy). The digest is computed on the first
-  /// serve (outside the lock — it reads every byte) and memoized in the
-  /// entry; content-named ("md5-") objects are verified against their name
-  /// while hashing, preserving read_for_transfer's never-serve-corrupt
-  /// guarantee. Directories return is_dir=true with no digest: the caller
-  /// must fall back to read_for_transfer's archive path.
-  Result<ServeInfo> serve_info(const std::string& name);
+  /// Path + size (+ digest) for serving a file object straight off disk
+  /// (sendfile zero-copy). With `attest`, the caller ships the digest (a
+  /// peer serve): it is computed on the first such serve (outside the lock
+  /// — it reads every byte) and memoized in the entry. Without it (the
+  /// manager fetch path, whose reply carries no digest), only content-named
+  /// objects are hashed. Either way a "md5-" object is verified against its
+  /// name before its first serve, preserving read_for_transfer's
+  /// never-serve-corrupt guarantee; other objects come back with whatever
+  /// digest is already memoized. Directories return is_dir=true with no
+  /// digest: the caller must fall back to read_for_transfer's archive path.
+  Result<ServeInfo> serve_info(const std::string& name, bool attest);
 
   /// Tag a present object as prefetch-staged (see CacheEntry::prefetch).
   /// No-op when absent.

@@ -389,15 +389,21 @@ Status Worker::fetch_from_peer(const proto::FetchMsg& msg) {
           stored = !blob.ok() && blob.error().code == Errc::timeout
                        ? Status(blob.error())
                        : Status(Error{Errc::protocol_error, "peer blob missing"});
-        } else if (!obj.digest.empty() && md5_buffer(blob->data) != obj.digest) {
+        } else {
           // The sender attested the content; a mismatch means the bytes
           // were damaged in flight. Fail the transfer instead of caching
-          // poisoned data.
-          stored = Error{Errc::io_error, "peer blob digest mismatch"};
-        } else if (obj.is_dir) {
-          stored = cache_->put_archive(msg.cache_name, blob->data, msg.level);
-        } else {
-          stored = cache_->put_bytes(msg.cache_name, blob->data, msg.level);
+          // poisoned data. A verified digest goes into the cache entry, so
+          // the received bytes are hashed exactly once.
+          std::string digest =
+              obj.digest.empty() ? std::string() : md5_buffer(blob->data);
+          if (digest != obj.digest) {
+            stored = Error{Errc::io_error, "peer blob digest mismatch"};
+          } else if (obj.is_dir) {
+            stored = cache_->put_archive(msg.cache_name, blob->data, msg.level);
+          } else {
+            stored = cache_->put_bytes(msg.cache_name, blob->data, msg.level,
+                                       std::move(digest));
+          }
         }
       }
     }
@@ -624,7 +630,9 @@ void Worker::handle_send_file(const proto::SendFileMsg& msg) {
   proto::FileDataMsg reply;
   reply.request_id = msg.request_id;
   reply.cache_name = msg.cache_name;
-  auto info = cache_->serve_info(msg.cache_name);
+  // The reply carries no digest, so only a content-named object is hashed
+  // (to check it against its name before it leaves the worker).
+  auto info = cache_->serve_info(msg.cache_name, /*attest=*/false);
   if (!info.ok()) {
     reply.ok = false;
     reply.error = info.error().to_string();
@@ -784,7 +792,7 @@ bool Worker::serve_get(Endpoint& peer, const proto::GetMsg& get) {
 
   proto::ObjMsg obj;
   obj.cache_name = get.cache_name;
-  auto info = cache_->serve_info(get.cache_name);
+  auto info = cache_->serve_info(get.cache_name, /*attest=*/true);
   if (!info.ok()) {
     obj.ok = false;
     obj.error = info.error().to_string();

@@ -66,6 +66,50 @@ TEST(Md5, ExactBlockBoundaries) {
   }
 }
 
+// RFC 1321 does not list it, but the one-million-'a' message is the
+// standard long vector: 15625 full blocks through the round function.
+TEST(Md5, MillionA) {
+  EXPECT_EQ(Md5::hex(std::string(1000000, 'a')),
+            "7707d6ae4e027c70eea2a935c2296f21");
+}
+
+/// Deterministic pseudo-random bytes (an LCG's high bits), so every message
+/// word the round function sees differs.
+std::string pseudo_random_bytes(std::size_t n, std::uint32_t seed) {
+  std::string out(n, '\0');
+  for (auto& c : out) {
+    seed = seed * 1664525u + 1013904223u;
+    c = static_cast<char>(seed >> 24);
+  }
+  return out;
+}
+
+TEST(Md5, IncrementalSplitsAroundBlockBoundaries) {
+  const std::string data = pseudo_random_bytes(4 << 20, 7);
+  const std::string whole = Md5::hex(data);
+  // Split the message at every offset within 70 bytes of several block
+  // boundaries, so the split lands on, before and after each: the carry
+  // through the partial-block buffer must never drop or repeat a byte.
+  // The boundaries sit in the last 64 KiB and the bytes before each window
+  // are absorbed once (then the hasher is copied), which keeps the test to
+  // a few full-message hashes.
+  const std::size_t n = data.size();
+  for (std::size_t boundary : {n - 65536, n - 4096, n - 640, n - 64}) {
+    const std::size_t lo = boundary - 70;  // not block-aligned: 58 buffered
+    Md5 prefix;
+    prefix.update(std::string_view(data).substr(0, lo));
+    for (std::size_t split = lo; split <= std::min(n, boundary + 70); ++split) {
+      Md5 h = prefix;
+      h.update(std::string_view(data).substr(lo, split - lo));
+      h.update(std::string_view(data).substr(split));
+      auto d = h.finish();
+      ASSERT_EQ(to_hex(std::span<const std::uint8_t>(d.data(), d.size())),
+                whole)
+          << "split at " << split;
+    }
+  }
+}
+
 TEST(Md5, ResetAllowsReuse) {
   Md5 h;
   h.update("abc");
@@ -134,6 +178,21 @@ TEST(Digest, FileHashMatchesBuffer) {
   for (std::size_t i = 0; i < content.size(); ++i) content[i] = static_cast<char>(i);
   std::ofstream(file, std::ios::binary).write(content.data(),
                                               static_cast<std::streamsize>(content.size()));
+  auto h = md5_file(file);
+  ASSERT_TRUE(h.ok());
+  EXPECT_EQ(*h, md5_buffer(content));
+  fs::remove_all(dir);
+}
+
+TEST(Digest, MultiMebibyteFileHashMatchesBuffer) {
+  // Many times md5_file's 64 KiB read buffer and not a multiple of it, so
+  // the streamed chunks end mid-block.
+  auto dir = fs::temp_directory_path() / "vine_hash_big_test";
+  fs::create_directories(dir);
+  auto file = dir / "big.bin";
+  const std::string content = pseudo_random_bytes((3 << 20) + 12345, 11);
+  std::ofstream(file, std::ios::binary)
+      .write(content.data(), static_cast<std::streamsize>(content.size()));
   auto h = md5_file(file);
   ASSERT_TRUE(h.ok());
   EXPECT_EQ(*h, md5_buffer(content));

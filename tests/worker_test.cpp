@@ -11,6 +11,7 @@
 #include "archive/vpak.hpp"
 #include "core/taskvine.hpp"
 #include "fsutil/fsutil.hpp"
+#include "hash/digest.hpp"
 #include "worker/builtins.hpp"
 #include "worker/cache_store.hpp"
 #include "worker/executor.hpp"
@@ -41,6 +42,57 @@ TEST_F(CacheStoreTest, PutBytesAndLookup) {
   EXPECT_EQ(e->size, 7);
   EXPECT_FALSE(e->is_dir);
   EXPECT_EQ(cache.used_bytes(), 7);
+}
+
+TEST_F(CacheStoreTest, PutBytesRecordsDigest) {
+  CacheStore cache(tmp_.path() / "cache");
+  const std::string bytes = "peer-verified";
+  ASSERT_TRUE(cache.put_bytes("rnd-own", bytes, CacheLevel::workflow).ok());
+  EXPECT_EQ(cache.entry("rnd-own")->digest, md5_buffer(bytes));
+  // A supplied digest is the caller's verified hash of these bytes: the
+  // store records it as given instead of hashing a second time (a sentinel
+  // that is not the real digest proves no second pass ran).
+  const std::string sentinel(32, '0');
+  ASSERT_TRUE(
+      cache.put_bytes("rnd-given", bytes, CacheLevel::workflow, sentinel).ok());
+  EXPECT_EQ(cache.entry("rnd-given")->digest, sentinel);
+  auto info = cache.serve_info("rnd-given", /*attest=*/true);
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info->digest, sentinel);
+  EXPECT_EQ(info->size, static_cast<std::int64_t>(bytes.size()));
+}
+
+TEST_F(CacheStoreTest, ServeInfoHashesOnlyWhatItChecksOrAttests) {
+  CacheStore cache(tmp_.path() / "cache");
+  auto produce = [&](const std::string& file, const std::string& content) {
+    auto src = tmp_.path() / file;
+    EXPECT_TRUE(write_file_atomic(src, content).ok());
+    return src;
+  };
+  // Adopted task outputs carry no digest until something needs one.
+  ASSERT_TRUE(cache.adopt("task-out", produce("o", "output"),
+                          CacheLevel::workflow).ok());
+  auto plain = cache.serve_info("task-out", /*attest=*/false);
+  ASSERT_TRUE(plain.ok());
+  EXPECT_TRUE(plain->digest.empty());
+  EXPECT_TRUE(cache.entry("task-out")->digest.empty());
+  auto attested = cache.serve_info("task-out", /*attest=*/true);
+  ASSERT_TRUE(attested.ok());
+  EXPECT_EQ(attested->digest, md5_buffer("output"));
+  EXPECT_EQ(cache.entry("task-out")->digest, md5_buffer("output"));
+
+  // A content-named object is checked against its name on either path.
+  const std::string good = "md5-" + md5_buffer("content");
+  ASSERT_TRUE(cache.adopt(good, produce("g", "content"), CacheLevel::workflow).ok());
+  auto checked = cache.serve_info(good, /*attest=*/false);
+  ASSERT_TRUE(checked.ok());
+  EXPECT_EQ(checked->digest, md5_buffer("content"));
+  const std::string bad = "md5-" + md5_buffer("expected");
+  ASSERT_TRUE(cache.adopt(bad, produce("b", "damaged"), CacheLevel::workflow).ok());
+  auto rejected = cache.serve_info(bad, /*attest=*/false);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.error().code, Errc::io_error);
+  EXPECT_FALSE(cache.serve_info(bad, /*attest=*/true).ok());
 }
 
 TEST_F(CacheStoreTest, PutArchiveBecomesDirectory) {
@@ -425,6 +477,17 @@ long self_status(const std::string& field) {
   return std::stol(text->substr(pos + key.size()));
 }
 
+/// Open descriptors of this process (entries of /proc/self/fd).
+long open_fds() {
+  std::error_code ec;
+  long n = 0;
+  for (auto it = fs::directory_iterator("/proc/self/fd", ec);
+       !ec && it != fs::directory_iterator(); it.increment(ec)) {
+    ++n;
+  }
+  return ec ? -1 : n;
+}
+
 TEST(WorkerSoak, FinishedTaskThreadsDoNotAccumulate) {
   auto cluster = LocalCluster::create({.workers = 1});
   ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
@@ -440,14 +503,88 @@ TEST(WorkerSoak, FinishedTaskThreadsDoNotAccumulate) {
   run(50);
   const long threads_warm = self_status("Threads");
   const long vm_warm_kb = self_status("VmSize");
+  const long fds_warm = open_fds();
   ASSERT_GT(threads_warm, 0);
   ASSERT_GT(vm_warm_kb, 0);
+  ASSERT_GT(fds_warm, 0);
   run(450);
   // A task thread that is never joined keeps its 8 MiB stack mapped, so a
   // leak would add ~3.5 GiB here. The budget covers a few in-flight stacks
   // plus the 64 MiB reservations of malloc arenas that new threads create.
   EXPECT_LE(self_status("Threads"), threads_warm + 4);
   EXPECT_LE(self_status("VmSize"), vm_warm_kb + 512 * 1024);
+  // Each task opens output pipes and a process group's worth of
+  // descriptors; one that is never closed would add 450+ here. The slack
+  // covers descriptors of the few tasks still being torn down.
+  EXPECT_LE(open_fds(), fds_warm + 4);
+}
+
+// ------------------------------------------------------ data-plane digests
+
+/// Two workers, with one task output produced (and held only) on w0.
+struct TaskOutputOnW0 {
+  std::unique_ptr<LocalCluster> cluster;
+  FileRef file;
+
+  void start() {
+    auto c = LocalCluster::create({.workers = 2});
+    ASSERT_TRUE(c.ok()) << c.error().to_string();
+    cluster = std::move(*c);
+    file = cluster->manager().declare_temp();
+    run(TaskBuilder("printf payload > f").output(file, "f").pin_to_worker("w0"));
+    ASSERT_EQ(file->cache_name.rfind("task-", 0), 0u) << file->cache_name;
+  }
+
+  /// Consume the output on w1, which must peer-fetch it from w0.
+  void consume_on_w1() {
+    run(TaskBuilder("cat f").input(file, "f").pin_to_worker("w1"), "payload");
+  }
+
+  CacheEntry entry_on(std::size_t worker) {
+    auto e = cluster->worker(worker).cache().entry(file->cache_name);
+    EXPECT_TRUE(e.ok()) << "w" << worker << " lacks " << file->cache_name;
+    return e.ok() ? *e : CacheEntry{};
+  }
+
+ private:
+  void run(TaskBuilder& task, const std::string& output = "") {
+    Manager& m = cluster->manager();
+    ASSERT_TRUE(m.submit(task.build()).ok());
+    auto r = m.wait(20000ms);
+    ASSERT_TRUE(r.ok()) << r.error().to_string();
+    ASSERT_TRUE(r->ok()) << r->error_message;
+    EXPECT_EQ(r->output, output);
+  }
+};
+
+TEST(DataPlaneDigest, PeerFetchStoresTheAttestedDigest) {
+  TaskOutputOnW0 f;
+  f.start();
+  if (::testing::Test::HasFatalFailure()) return;
+  f.consume_on_w1();
+  // The sender memoized the digest it attested; the receiver stored the
+  // digest it verified the blob against instead of hashing it again.
+  const std::string attested = f.entry_on(0).digest;
+  EXPECT_EQ(attested, md5_buffer("payload"));
+  EXPECT_EQ(f.entry_on(1).digest, attested);
+  auto stored = f.cluster->worker(1).cache().object_path(f.file->cache_name);
+  ASSERT_TRUE(stored.ok());
+  EXPECT_EQ(md5_file(*stored).value(), attested);
+}
+
+TEST(DataPlaneDigest, ManagerFetchOfTaskOutputSkipsTheHash) {
+  TaskOutputOnW0 f;
+  f.start();
+  if (::testing::Test::HasFatalFailure()) return;
+  auto content = f.cluster->manager().fetch_file(f.file, 20000ms);
+  ASSERT_TRUE(content.ok()) << content.error().to_string();
+  EXPECT_EQ(*content, "payload");
+  // The send_file reply carries no digest, so none was computed.
+  EXPECT_TRUE(f.entry_on(0).digest.empty());
+  // A later peer serve still hashes the object and attests it correctly.
+  f.consume_on_w1();
+  EXPECT_EQ(f.entry_on(0).digest, md5_buffer("payload"));
+  EXPECT_EQ(f.entry_on(1).digest, md5_buffer("payload"));
 }
 
 }  // namespace

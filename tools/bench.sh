@@ -1,18 +1,19 @@
 #!/usr/bin/env bash
 # Scheduling/catalog and simulator hot-path benchmark harness.
 #
-# Builds the relwithdebinfo preset and runs four google-benchmark suites:
-#   micro_sched — scheduling/catalog micros (up to 2000 workers)
-#   micro_flow  — event-core + flow-network micros (up to 2000 flows)
-#   micro_obs   — vine::obs tracing emit path (absolute ns/event budgets)
-#   micro_net   — TCP data plane (small-frame throughput, blob serve GB/s)
+# Builds the relwithdebinfo preset and runs five google-benchmark suites:
+#   micro_sched  — scheduling/catalog micros (up to 2000 workers)
+#   micro_flow   — event-core + flow-network micros (up to 2000 flows)
+#   micro_obs    — vine::obs tracing emit path (absolute ns/event budgets)
+#   micro_net    — TCP data plane (small-frame throughput, blob serve GB/s)
+#   micro_naming — cache naming: MD5/SHA-1 throughput, Merkle and task hashes
 # plus the micro_redundancy chaos soak (fig13@500 makespan with replication
 # on vs off; gate: on <= off — the soak is deterministic, so the gate holds
 # at smoke seed counts too) and, on full runs, wall-clock timings of the two
 # transfer-heavy figure replications at paper scale (fig11_transfer_methods,
 # fig13_topeft_storage --workers 500). Writes BENCH_sched.json,
-# BENCH_sim.json, BENCH_obs.json, BENCH_net.json, and BENCH_redundancy.json
-# at the repo root: items/sec (or seconds) per row next
+# BENCH_sim.json, BENCH_obs.json, BENCH_net.json, BENCH_naming.json and
+# BENCH_redundancy.json at the repo root: items/sec (or seconds) per row next
 # to the frozen pre-refactor baseline, with the speedup factor (the obs
 # suite gates on absolute cost budgets instead — it is a new subsystem).
 #
@@ -42,7 +43,8 @@ SMOKE=0
 
 cmake --preset relwithdebinfo >/dev/null
 cmake --build --preset relwithdebinfo -j "$(nproc)" \
-  --target micro_sched micro_flow micro_obs micro_net micro_redundancy \
+  --target micro_sched micro_flow micro_obs micro_net micro_naming \
+          micro_redundancy \
           fig11_transfer_methods fig13_topeft_storage \
   >/dev/null
 
@@ -380,10 +382,90 @@ if not out["smoke"]:
 print("wrote BENCH_net.json")
 PYEOF
 
+# -------------------------------------------------------------- micro_naming
+
+RAW_NAMING=$(mktemp)
+trap 'rm -f "$RAW" "$RAW_SIM" "$RAW_OBS" "$RAW_NET" "$RAW_NAMING"' EXIT
+
+if [[ "$SMOKE" == 1 ]]; then
+  ./build/bench/micro_naming --benchmark_format=json \
+    --benchmark_min_time=0.01 > "$RAW_NAMING"
+else
+  ./build/bench/micro_naming --benchmark_format=json \
+    --benchmark_min_time=0.2 > "$RAW_NAMING"
+fi
+
+SMOKE="$SMOKE" python3 - "$RAW_NAMING" <<'PYEOF'
+import json, os, sys
+
+# bytes/sec of the loop-form MD5 round function (one 64-step loop with a
+# per-step branch chain, table-indexed shifts and a computed message index),
+# measured by this harness (full-run settings) from the commit before the
+# unrolled kernel: median of five runs alternated with the current build on
+# one idle 4-vCPU x86-64 VM (loop form 288-323 MB/s, unrolled 450-477 MB/s).
+# Every data-plane byte passes through this kernel at least once per hop.
+BASELINE_NAMING_BYTES = {
+    "BM_Md5Throughput/4194304": 2.926e8,
+}
+# The unrolled kernel must hold this absolute floor: 1.3x the loop form.
+MD5_GATE = 1.3
+
+raw = json.load(open(sys.argv[1]))
+rows = {}
+for b in raw["benchmarks"]:
+    name = b["name"]
+    bps = b.get("bytes_per_second")
+    ips = b.get("items_per_second")
+    if bps is not None:
+        base = BASELINE_NAMING_BYTES.get(name)
+        rows[name] = {
+            "baseline_bytes_per_second": base,
+            "bytes_per_second": round(bps, 2),
+            "speedup": round(bps / base, 2) if base else None,
+        }
+    elif ips is not None:
+        rows[name] = {"items_per_second": round(ips, 2)}
+    else:
+        rows[name] = {"real_time": round(b["real_time"], 2),
+                      "time_unit": b["time_unit"]}
+
+out = {
+    "suite": "micro_naming",
+    "smoke": os.environ.get("SMOKE") == "1",
+    "context": raw.get("context", {}),
+    "benchmarks": rows,
+}
+with open("BENCH_naming.json", "w") as f:
+    json.dump(out, f, indent=2)
+    f.write("\n")
+
+for name, r in rows.items():
+    if "bytes_per_second" in r:
+        s = f' ({r["speedup"]}x)' if r["speedup"] else ""
+        print(f'{name}: {r["bytes_per_second"] / 1e6:.0f} MB/s{s}')
+    elif "items_per_second" in r:
+        print(f'{name}: {r["items_per_second"]:.0f} items/s')
+    else:
+        print(f'{name}: {r["real_time"]:.0f} {r["time_unit"]}')
+
+# A smoke iteration hashes 4 MiB only a handful of times, too few for a
+# stable rate, so the floor is full-run-only.
+if not out["smoke"]:
+    key = rows.get("BM_Md5Throughput/4194304")
+    floor = BASELINE_NAMING_BYTES["BM_Md5Throughput/4194304"] * MD5_GATE
+    if key is None:
+        sys.exit("FAIL: BM_Md5Throughput/4194304 missing from micro_naming")
+    if key["bytes_per_second"] < floor:
+        sys.exit(f'FAIL: BM_Md5Throughput/4194304 '
+                 f'{key["bytes_per_second"] / 1e6:.0f} MB/s < floor '
+                 f'{floor / 1e6:.0f} MB/s ({MD5_GATE}x the loop form)')
+print("wrote BENCH_naming.json")
+PYEOF
+
 # ---------------------------------------------------------- micro_redundancy
 
 RAW_RED=$(mktemp)
-trap 'rm -f "$RAW" "$RAW_SIM" "$RAW_OBS" "$RAW_NET" "$RAW_RED"' EXIT
+trap 'rm -f "$RAW" "$RAW_SIM" "$RAW_OBS" "$RAW_NET" "$RAW_NAMING" "$RAW_RED"' EXIT
 
 # The soak is a deterministic simulation, so smoke runs keep the makespan
 # gate and just cover fewer fault plans.
