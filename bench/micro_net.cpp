@@ -1,41 +1,31 @@
 // Micro-benchmarks — the TCP data plane (src/net/reactor.cpp). Two claims
-// from DESIGN.md "Data plane" are gated here against the frozen
-// thread-per-connection baseline (tools/bench.sh BASELINE_NET):
+// from DESIGN.md "Data plane" are gated here against absolute floors
+// (tools/bench.sh):
 //
 //   * BM_SmallFrames/N — control-message throughput across N concurrent
 //     connections, 16 frames pipelined per connection per round. The
-//     reactor coalesces queued frames into one writev and batch-decodes
-//     the inbound buffer; the baseline paid one blocking write syscall
-//     per frame and one parked reader thread per connection.
+//     reactor coalesces queued frames into one writev, batch-decodes the
+//     inbound buffer and pushes each frame to the serving side's receiver.
 //   * BM_BlobServe — loopback GB/s streaming a 64 MB cached blob, the
 //     worker→worker peer-serve path. sendfile moves the bytes without a
 //     userspace copy; BM_BlobServeFallback measures the pread+writev path
 //     (VINE_DISABLE_SENDFILE builds) and is informational, not gated.
-//
-// The same source builds against the pre-reactor transport when
-// VINE_BENCH_LEGACY_SEND is defined (no send_blob_file, no push-mode
-// receivers): that is how the baseline numbers in tools/bench.sh were
-// measured — see the re-baselining note there.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <mutex>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "json/json.hpp"
 #include "net/frame.hpp"
-#include "net/tcp.hpp"
-#ifndef VINE_BENCH_LEGACY_SEND
 #include "net/reactor.hpp"
-#endif
+#include "net/tcp.hpp"
 
 namespace {
 
@@ -44,29 +34,12 @@ using vine::Endpoint;
 using vine::Frame;
 using vine::Listener;
 
-/// Serve a file-backed blob the way the worker does: zero-copy on the
-/// reactor transport, read-then-send on the legacy one.
-vine::Status send_file_frame(Endpoint& ep, const std::string& tag,
-                             const std::string& path, std::uint64_t size) {
-#ifndef VINE_BENCH_LEGACY_SEND
-  return ep.send_blob_file(tag, path, size);
-#else
-  std::ifstream in(path, std::ios::binary);
-  std::string data(size, '\0');
-  in.read(data.data(), static_cast<std::streamsize>(size));
-  return ep.send_blob(tag, std::move(data));
-#endif
-}
-
 /// N established loopback connection pairs with a frame counter on the
-/// serving side: receiver callbacks on the reactor transport, one recv
-/// thread per connection on transports without push delivery (which is
-/// precisely the baseline's thread-per-connection model).
+/// serving side, fed by receiver callbacks.
 struct NetRig {
   std::unique_ptr<Listener> listener;
   std::vector<std::unique_ptr<Endpoint>> clients;
   std::vector<std::unique_ptr<Endpoint>> servers;
-  std::vector<std::thread> readers;
   std::atomic<std::int64_t> received{0};
   std::atomic<std::int64_t> expected{0};
   std::mutex done_mu;  // pairs with done_cv for the end-of-round handoff
@@ -82,33 +55,15 @@ struct NetRig {
       if (!c.ok() || !s.ok()) std::abort();
       clients.push_back(std::move(*c));
       servers.push_back(std::move(*s));
-      Endpoint* ep = servers.back().get();
-#ifndef VINE_BENCH_LEGACY_SEND
-      const bool push_mode = ep->set_receiver([this](vine::Result<Frame> f) {
+      servers.back()->set_receiver([this](vine::Result<Frame> f) {
         if (f.ok()) count_one();
       });
-#else
-      const bool push_mode = false;  // pre-reactor Endpoint: pull-only
-#endif
-      if (!push_mode) {
-        readers.emplace_back([this, ep] {
-          while (true) {
-            auto f = ep->recv(200ms);
-            if (f.ok()) {
-              count_one();
-            } else if (f.error().code != vine::Errc::timeout) {
-              return;
-            }
-          }
-        });
-      }
     }
   }
 
   ~NetRig() {
     for (auto& c : clients) c->close();
     for (auto& s : servers) s->close();
-    for (auto& t : readers) t.join();
   }
 
   void count_one() {
@@ -133,8 +88,8 @@ struct NetRig {
 /// Small-message throughput at state.range(0) connections: each round
 /// pipelines 16 heartbeat-sized frames per connection, then waits for
 /// every frame to be counted on the serving side. The payload is a tiny
-/// blob, not JSON: the JSON codec is identical in both builds and would
-/// only dilute the transport comparison this gate exists to keep honest.
+/// blob, not JSON: the JSON codec would only dilute the transport cost
+/// this gate exists to keep honest.
 void BM_SmallFrames(benchmark::State& state) {
   const int conns = static_cast<int>(state.range(0));
   constexpr int kDepth = 16;
@@ -181,17 +136,13 @@ void blob_serve_loop(benchmark::State& state) {
   if (!client.ok() || !server.ok()) std::abort();
 
   for (auto _ : state) {
-    // Send from a helper thread: the legacy transport's send_blob is a
-    // blocking write that outgrows the loopback socket buffer, so sender
-    // and receiver must run concurrently (the reactor just enqueues).
-    std::thread sender([&] {
-      if (!send_file_frame(**server, "blob", path.string(), kBlobSize).ok()) {
-        std::abort();
-      }
-    });
+    // The reactor only enqueues the file span; the bytes move while the
+    // client waits in recv.
+    if (!(*server)->send_blob_file("blob", path.string(), kBlobSize).ok()) {
+      std::abort();
+    }
     auto got = (*client)->recv(30000ms);
     if (!got.ok() || got->data.size() != kBlobSize) std::abort();
-    sender.join();
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(kBlobSize));
@@ -202,7 +153,6 @@ void blob_serve_loop(benchmark::State& state) {
 void BM_BlobServe(benchmark::State& state) { blob_serve_loop(state); }
 BENCHMARK(BM_BlobServe)->UseRealTime();
 
-#ifndef VINE_BENCH_LEGACY_SEND
 /// The pread+writev fallback (VINE_DISABLE_SENDFILE): same wire bytes,
 /// one extra userspace copy. Informational — shows what the build flag
 /// costs on platforms without sendfile.
@@ -212,7 +162,6 @@ void BM_BlobServeFallback(benchmark::State& state) {
   vine::set_sendfile_enabled(true);
 }
 BENCHMARK(BM_BlobServeFallback)->UseRealTime();
-#endif
 
 }  // namespace
 

@@ -120,34 +120,18 @@ void Manager::accept_loop() {
     auto conn = std::make_unique<Connection>();
     conn->conn_id = conn_id;
     conn->endpoint = std::shared_ptr<Endpoint>(std::move(*ep));
-    // Receiver-capable transports (TCP reactor) push frames into the inbox
-    // straight from the event loop: no reader thread per worker. The
-    // error delivery is the connection's death notice — same event the
-    // legacy reader loop emits when recv fails. Transports without
-    // receiver support keep the thread.
-    if (!conn->endpoint->set_receiver([this, conn_id](Result<Frame> frame) {
-          if (frame.ok()) {
-            inbox_.push(Event{conn_id, std::move(*frame), false});
-          } else {
-            inbox_.push(Event{conn_id, {}, true});
-          }
-        })) {
-      conn->reader = std::thread(
-          [this, conn_id, ep2 = conn->endpoint] { reader_loop(conn_id, ep2); });
-    }
+    // Every transport pushes frames into the inbox from its own thread (the
+    // reactor, or the worker's sending thread on a channel): no reader
+    // thread per worker. The error delivery is the connection's death
+    // notice.
+    conn->endpoint->set_receiver([this, conn_id](Result<Frame> frame) {
+      if (frame.ok()) {
+        inbox_.push(Event{conn_id, std::move(*frame), false});
+      } else {
+        inbox_.push(Event{conn_id, {}, true});
+      }
+    });
     connections_.emplace(conn_id, std::move(conn));
-  }
-}
-
-void Manager::reader_loop(const std::string& conn_id, std::shared_ptr<Endpoint> ep) {
-  while (!stopping_.load()) {
-    auto frame = ep->recv(200ms);
-    if (!frame.ok()) {
-      if (frame.error().code == Errc::timeout) continue;
-      inbox_.push(Event{conn_id, {}, true});
-      return;
-    }
-    inbox_.push(Event{conn_id, std::move(*frame), false});
   }
 }
 
@@ -478,19 +462,14 @@ void Manager::shutdown() {
   if (acceptor_.joinable()) acceptor_.join();
   inbox_.close();
 
-  // Extract the connections under the lock, then close and join outside
-  // it: a reader can take up to a recv timeout to notice the close, and
-  // join under conn_mutex_ is a blocking call under a lock (the same rule
-  // handle_worker_lost already follows).
+  // Extract the connections under the lock; close and drop them outside
+  // it (a TCP endpoint's destructor waits for the reactor to let go).
   std::map<std::string, std::unique_ptr<Connection>> conns;
   {
     MutexLock lock(conn_mutex_);
     conns.swap(connections_);
   }
-  for (auto& [_, conn] : conns) {
-    conn->endpoint->close();
-    if (conn->reader.joinable()) conn->reader.join();
-  }
+  for (auto& [_, conn] : conns) conn->endpoint->close();
 }
 
 // ------------------------------------------------------------ pumping
@@ -782,6 +761,12 @@ void Manager::handle_task_done(const WorkerId& worker, const proto::TaskDoneMsg&
   }
 
   if (msg.ok) {
+    // The worker's clock has its own epoch: keep the duration it measured
+    // and anchor it on ours at arrival, so every report timestamp shares a
+    // clock.
+    const double run_s = std::max(0.0, msg.finished_at - msg.started_at);
+    const double finished_at = clock_.now();
+
     // A completed consumer closes its producers' recovery episodes: the
     // recovered temps were consumed, so a *later* loss of the same outputs
     // is a new recovery, not a continuation (see TaskEntry::recovering).
@@ -795,7 +780,6 @@ void Manager::handle_task_done(const WorkerId& worker, const proto::TaskDoneMsg&
       }
     }
     if (core_.redundancy().enabled() && spec.kind != TaskKind::library) {
-      const double runtime_s = std::max(0.0, msg.finished_at - msg.started_at);
       std::vector<std::string> temp_inputs;
       for (const auto& in : spec.inputs) {
         if (in.file && in.file->kind == FileKind::temp) {
@@ -804,7 +788,7 @@ void Manager::handle_task_done(const WorkerId& worker, const proto::TaskDoneMsg&
       }
       for (const auto& out : spec.outputs) {
         if (!out.file || out.file->kind != FileKind::temp) continue;
-        core_.redundancy().note_produced(out.file->cache_name, runtime_s,
+        core_.redundancy().note_produced(out.file->cache_name, run_s,
                                          replicas.known_size(out.file->cache_name),
                                          temp_inputs);
       }
@@ -815,8 +799,8 @@ void Manager::handle_task_done(const WorkerId& worker, const proto::TaskDoneMsg&
     report.output = msg.output;
     report.worker_id = worker;
     report.attempts = task.attempts + 1;
-    report.started_at = msg.started_at;
-    report.finished_at = msg.finished_at;
+    report.started_at = finished_at - run_s;
+    report.finished_at = finished_at;
     finish_task(*entry, task, std::move(report));
 
     // Task-lifetime inputs are dead now; reclaim worker storage.
@@ -872,10 +856,6 @@ void Manager::handle_library_ready(const WorkerId& worker,
 }
 
 void Manager::handle_worker_lost(const std::string& conn_id, bool evicted) {
-  // Extract the connection under the lock, but join the reader thread
-  // outside it: the reader may take up to a recv timeout to notice the
-  // close, and holding conn_mutex_ across that would stall the acceptor
-  // and every event being resolved in the meantime.
   std::unique_ptr<Connection> conn;
   {
     MutexLock lock(conn_mutex_);
@@ -885,7 +865,6 @@ void Manager::handle_worker_lost(const std::string& conn_id, bool evicted) {
     connections_.erase(it);
   }
   conn->endpoint->close();
-  if (conn->reader.joinable()) conn->reader.join();
   const WorkerId worker = conn->worker_id;
   if (worker.empty()) return;  // never said hello
 
@@ -1067,8 +1046,9 @@ void Manager::dispatch(control::TaskEntry& task) {
                  task.worker.c_str(), task.spec.resources.to_string().c_str());
   proto::RunTaskMsg msg;
   msg.task = proto::to_wire(task.spec);
-  send_to_worker(task.worker, msg);
+  // Stamp first: the worker may start the task before the send returns.
   tasks_[task.spec.id].report.dispatched_at = clock_.now();
+  send_to_worker(task.worker, msg);
 }
 
 void Manager::cancel_transfer(const std::string& uuid,

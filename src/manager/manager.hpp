@@ -8,7 +8,8 @@
 // inside the application process.
 //
 // Thread contract: the Manager API must be used from one thread (the
-// application's). Internal reader threads only enqueue events.
+// application's). Transport threads (the reactor, or a worker's sending
+// thread on an in-process channel) only enqueue events into the inbox.
 #pragma once
 
 #include <deque>
@@ -230,7 +231,6 @@ class Manager : private control::Host {
   struct Connection {
     std::string conn_id;
     std::shared_ptr<Endpoint> endpoint;
-    std::thread reader;
     WorkerId worker_id;  ///< "" until hello
   };
 
@@ -291,7 +291,6 @@ class Manager : private control::Host {
   // --- helpers ---
   FileRef register_file(std::shared_ptr<FileDecl> decl);
   void accept_loop();
-  void reader_loop(const std::string& conn_id, std::shared_ptr<Endpoint> ep);
   /// Run audit() and abort on violation when audits_enabled() (debug builds).
   void maybe_audit(const char* where) const;
 
@@ -306,10 +305,10 @@ class Manager : private control::Host {
   std::string address_;
   SteadyClock clock_;
 
-  // Guards connections_ and next_conn_ (shared with accept/reader threads);
-  // all other workflow state below is application-thread-only. Reader
-  // joins always run on Connections extracted from the map first — a join
-  // under this lock would stall the acceptor and every event in flight.
+  // Guards connections_ and next_conn_ (shared with the accept thread); all
+  // other workflow state below is application-thread-only. Connections are
+  // closed and dropped only after extraction from the map: a TCP
+  // endpoint's destructor waits for the reactor, a blocking call.
   Mutex conn_mutex_{lock_rank::Rank::manager_connections};
   std::map<std::string, std::unique_ptr<Connection>> connections_
       VINE_GUARDED_BY(conn_mutex_);

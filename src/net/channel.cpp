@@ -1,62 +1,101 @@
 #include "net/channel.hpp"
 
+#include <functional>
+#include <utility>
+
 namespace vine {
 
 namespace {
 
-/// One direction of an in-process connection.
-using FrameQueue = MsgQueue<Frame>;
+/// One direction of an in-process connection. Until the receiving end
+/// installs a receiver, sent frames wait in `frames` for its recv(); after
+/// that, send() hands each frame straight to the receiver on the sender's
+/// thread, the way the reactor delivers TCP frames on its event thread.
+struct Pipe {
+  explicit Pipe(std::string from) : from(std::move(from)) {}
 
-/// An endpoint holding a send queue (peer's inbox) and a recv queue (ours).
+  /// Close the direction. An installed receiver gets the terminal error
+  /// now; a pull-mode reader drains what is buffered, then sees it.
+  void close() {
+    std::function<void(Result<Frame>)> told;  // destroyed after unlocking
+    MutexLock lock(mu);
+    frames.close();
+    told = std::exchange(receiver, nullptr);
+    if (told) told(death());
+  }
+
+  Error death() const {
+    return Error{Errc::unavailable, "connection closed: " + from};
+  }
+
+  const std::string from;  ///< the sending end's name, for error messages
+  // Guards receiver, and orders every push into and close of frames with
+  // its installation. Ranks endpoint_send, like ReactorConn::mu_, for the
+  // same reason: the receiver runs under it, so frames reach it in send
+  // order, the terminal error comes last, and close() waits out a delivery
+  // in flight. The receiver may only take locks ranked above it.
+  Mutex mu{lock_rank::Rank::endpoint_send};
+  std::function<void(Result<Frame>)> receiver VINE_GUARDED_BY(mu);
+  MsgQueue<Frame> frames;  ///< pull-mode buffer; closed with the pipe
+};
+
+/// An endpoint writing into the peer's inbound pipe and reading its own.
 class ChannelEndpoint final : public Endpoint {
  public:
-  ChannelEndpoint(std::shared_ptr<FrameQueue> send_q,
-                  std::shared_ptr<FrameQueue> recv_q, std::string peer)
-      : send_q_(std::move(send_q)),
-        recv_q_(std::move(recv_q)),
-        peer_(std::move(peer)) {}
+  ChannelEndpoint(std::shared_ptr<Pipe> out, std::shared_ptr<Pipe> in,
+                  std::string peer)
+      : out_(std::move(out)), in_(std::move(in)), peer_(std::move(peer)) {}
 
   ~ChannelEndpoint() override { close(); }
 
   Status send(Frame frame) override {
-    if (!send_q_->push(std::move(frame))) {
+    MutexLock lock(out_->mu);
+    if (out_->receiver) {
+      out_->receiver(std::move(frame));
+    } else if (!out_->frames.push(std::move(frame))) {
       return Error{Errc::unavailable, "peer closed: " + peer_};
     }
     return Status::success();
   }
 
   Result<Frame> recv(std::chrono::milliseconds timeout) override {
-    auto f = recv_q_->pop(timeout);
-    if (!f) {
-      if (recv_q_->closed()) {
-        return Error{Errc::unavailable, "connection closed: " + peer_};
-      }
-      return Error{Errc::timeout, "recv timeout from " + peer_};
+    auto f = in_->frames.pop(timeout);
+    if (f) return std::move(*f);
+    if (in_->frames.closed()) return in_->death();
+    return Error{Errc::timeout, "recv timeout from " + peer_};
+  }
+
+  void set_receiver(std::function<void(Result<Frame>)> fn) override {
+    MutexLock lock(in_->mu);
+    while (auto f = in_->frames.try_pop()) fn(std::move(*f));
+    if (in_->frames.closed()) {
+      fn(in_->death());
+      return;
     }
-    return std::move(*f);
+    in_->receiver = std::move(fn);
   }
 
   void close() override {
-    // Closing our inbox unblocks our receiver; closing the peer's inbox
-    // makes their recv report unavailable once drained.
-    recv_q_->close();
-    send_q_->close();
+    // Either end's close ends both directions; each pipe tells its own
+    // receiver, so both ends hear the terminal error exactly once.
+    in_->close();
+    out_->close();
   }
 
   std::string peer_name() const override { return peer_; }
 
  private:
-  std::shared_ptr<FrameQueue> send_q_;
-  std::shared_ptr<FrameQueue> recv_q_;
-  std::string peer_;
+  const std::shared_ptr<Pipe> out_;
+  const std::shared_ptr<Pipe> in_;
+  const std::string peer_;
 };
 
 }  // namespace
 
 std::pair<std::unique_ptr<Endpoint>, std::unique_ptr<Endpoint>> make_channel_pair(
     const std::string& a_name, const std::string& b_name) {
-  auto a_to_b = std::make_shared<FrameQueue>();
-  auto b_to_a = std::make_shared<FrameQueue>();
+  auto a_to_b = std::make_shared<Pipe>(a_name);
+  auto b_to_a = std::make_shared<Pipe>(b_name);
   auto a = std::make_unique<ChannelEndpoint>(a_to_b, b_to_a, b_name);
   auto b = std::make_unique<ChannelEndpoint>(b_to_a, a_to_b, a_name);
   return {std::move(a), std::move(b)};

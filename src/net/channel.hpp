@@ -1,4 +1,6 @@
-// In-process transport. A ChannelEndpoint pair shares two frame queues; a
+// In-process transport. A ChannelEndpoint pair shares two pipes, one per
+// direction, and delivers frames to a receiver on the sender's thread the
+// way the reactor delivers TCP frames on its event thread; a
 // ChannelListener registers a name in the process-global ChannelFabric so
 // "chan:NAME" addresses resolve, letting a whole cluster (manager, workers,
 // peer transfers) run inside a single test process with the exact same code

@@ -104,13 +104,12 @@ class Endpoint {
   /// Push-mode delivery: install `fn` to be invoked for every inbound frame
   /// (and once, finally, with the terminal error) instead of pulling frames
   /// via recv(). Frames already buffered are drained to `fn` in order before
-  /// it returns. Returns false on transports without push delivery (the
-  /// in-process channel); callers must then fall back to a recv() thread.
-  /// `fn` runs on the transport's event thread and must not block.
-  virtual bool set_receiver(std::function<void(Result<Frame>)> fn) {
-    (void)fn;
-    return false;
-  }
+  /// it returns; on an already-closed connection the terminal error follows
+  /// at once. No call of `fn` runs after close() returns. `fn` runs under
+  /// the connection's delivery lock on the reactor thread (TCP) or on the
+  /// sending or closing thread (in-process channels): it must not block or
+  /// touch this endpoint.
+  virtual void set_receiver(std::function<void(Result<Frame>)> fn) = 0;
 
   /// Send a blob frame whose payload is the contents of `path` (`size`
   /// bytes). The TCP transport streams the file zero-copy via sendfile;

@@ -44,9 +44,8 @@ class TcpEndpoint final : public Endpoint {
     return conn_->recv_frame(timeout);
   }
 
-  bool set_receiver(std::function<void(Result<Frame>)> fn) override {
+  void set_receiver(std::function<void(Result<Frame>)> fn) override {
     conn_->set_receiver(std::move(fn));
-    return true;
   }
 
   Status send_blob_file(const std::string& tag, const std::string& path,

@@ -46,9 +46,10 @@ Status Worker::init_and_register() {
                                               generate_token(6)));
   }
   transfer_addr_ = transfer_listener_->address();
-  // Serve pool: drains GETs pushed by receiver-driven peer connections.
-  // Sends are enqueue-only on the reactor, so a handful of threads covers
-  // any number of peers (the old model burned one thread per connection).
+  // Serve pool: drains GETs pushed by the peer connections. A send never
+  // waits for the requester (the reactor queues it; a channel buffers it
+  // for the requester's recv), so a handful of threads covers any number
+  // of peers.
   for (int i = 0; i < 4; ++i) {
     serve_pool_.emplace_back([this] { serve_pool_main(); });
   }
@@ -128,9 +129,9 @@ void Worker::stop() {
     if (t.joinable()) t.join();
   }
   serve_pool_.clear();
-  // Drop the receiver-driven peer connections with the map swapped out:
-  // each endpoint dtor synchronously deregisters from the reactor, which
-  // must never happen under our lock.
+  // Drop the peer connections with the map swapped out: each endpoint dtor
+  // synchronously deregisters from the reactor, which must never happen
+  // under our lock.
   std::map<std::uint64_t, std::shared_ptr<Endpoint>> peers_to_drop;
   {
     MutexLock lock(threads_mutex_);
@@ -161,14 +162,6 @@ void Worker::stop() {
     finished_task_threads_.clear();
   }
   for (auto& [_, t] : to_join) {
-    if (t.joinable()) t.join();
-  }
-  std::vector<std::thread> peers;
-  {
-    MutexLock lock(threads_mutex_);
-    peers.swap(peer_threads_);
-  }
-  for (auto& t : peers) {
     if (t.joinable()) t.join();
   }
   // All internal threads are quiescent; the cache must match the disk.
@@ -704,24 +697,19 @@ void Worker::transfer_server_main() {
     }
     std::shared_ptr<Endpoint> peer(std::move(*accepted));
     const std::uint64_t id = next_peer_id_.fetch_add(1);
-    // Receiver-capable transports (TCP reactor) push frames to the serve
-    // pool: no thread per connection. The callback runs on the reactor
-    // thread and must only enqueue; it captures the id, never the
-    // endpoint, so there is no ownership cycle through the connection.
-    // Register before installing the receiver — the first GET can land on
-    // the pool the instant the callback is in place.
+    // Each peer connection pushes its frames to the serve pool: no thread
+    // per connection. The callback runs on a transport thread and must only
+    // enqueue; it captures the id, never the endpoint, so there is no
+    // ownership cycle through the connection. Register before installing
+    // the receiver — the first GET can land on the pool the instant the
+    // callback is in place.
     {
       MutexLock lock(threads_mutex_);
       serve_peers_.emplace(id, peer);
     }
-    if (!peer->set_receiver([this, id](Result<Frame> frame) {
-          serve_jobs_.push(ServeJob{id, std::move(frame)});
-        })) {
-      MutexLock lock(threads_mutex_);
-      serve_peers_.erase(id);
-      peer_threads_.emplace_back(
-          [this, p = std::move(peer)] { serve_peer(p); });
-    }
+    peer->set_receiver([this, id](Result<Frame> frame) {
+      serve_jobs_.push(ServeJob{id, std::move(frame)});
+    });
   }
 }
 
@@ -760,34 +748,20 @@ void Worker::serve_pool_main() {
     if (job->frame->kind != Frame::Kind::json) continue;
     auto msg = proto::decode(job->frame->msg);
     if (!msg.ok() || !std::holds_alternative<proto::GetMsg>(*msg)) continue;
-    // A false return means serve_get closed the connection; the reactor
-    // then delivers the death notification and the branch above cleans up.
+    // If serve_get closes the connection, the transport then delivers the
+    // death notification and the branch above cleans up.
     serve_get(*peer, std::get<proto::GetMsg>(*msg));
   }
 }
 
-void Worker::serve_peer(const std::shared_ptr<Endpoint>& peer) {
-  while (!stopping_.load()) {
-    auto frame = peer->recv(200ms);
-    if (!frame.ok()) {
-      if (frame.error().code == Errc::timeout) continue;
-      return;  // peer closed
-    }
-    if (frame->kind != Frame::Kind::json) continue;
-    auto msg = proto::decode(frame->msg);
-    if (!msg.ok() || !std::holds_alternative<proto::GetMsg>(*msg)) continue;
-    if (!serve_get(*peer, std::get<proto::GetMsg>(*msg))) return;
-  }
-}
-
-bool Worker::serve_get(Endpoint& peer, const proto::GetMsg& get) {
+void Worker::serve_get(Endpoint& peer, const proto::GetMsg& get) {
   faults::WorkerFaults* flt = config_.faults.get();
   if (flt && faults::WorkerFaults::take(flt->fail_peer_serves)) {
     // Injected peer failure: drop the connection without answering, as a
     // crashing server would. The requester sees a closed/timeout error.
     flt->injected.fetch_add(1);
     peer.close();
-    return false;
+    return;
   }
 
   proto::ObjMsg obj;
@@ -797,7 +771,7 @@ bool Worker::serve_get(Endpoint& peer, const proto::GetMsg& get) {
     obj.ok = false;
     obj.error = info.error().to_string();
     peer.send_json(proto::encode(obj));
-    return true;
+    return;
   }
   const bool stall = flt && faults::WorkerFaults::take(flt->stall_peer_serves);
   // A stalled serve never ships its blob, so it must not consume a
@@ -820,7 +794,7 @@ bool Worker::serve_get(Endpoint& peer, const proto::GetMsg& get) {
       obj.ok = false;
       obj.error = data.error().to_string();
       peer.send_json(proto::encode(obj));
-      return true;
+      return;
     }
     staged = std::move(data->first);
     obj.is_dir = data->second;
@@ -845,7 +819,7 @@ bool Worker::serve_get(Endpoint& peer, const proto::GetMsg& get) {
       std::this_thread::sleep_for(10ms);
     }
     peer.close();
-    return false;
+    return;
   }
 
   peer.send_json(proto::encode(obj));
@@ -860,12 +834,11 @@ bool Worker::serve_get(Endpoint& peer, const proto::GetMsg& get) {
                     config_.id.c_str(), get.cache_name.c_str(),
                     st.error().message.c_str());
       peer.close();
-      return false;
+      return;
     }
   } else {
     peer.send_blob(get.cache_name, std::move(staged));
   }
-  return true;
 }
 
 }  // namespace vine

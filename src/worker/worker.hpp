@@ -167,11 +167,9 @@ class Worker {
 
   // --- peer transfer service ---
   void transfer_server_main();
-  void serve_peer(const std::shared_ptr<Endpoint>& peer);
   /// Answer one GET on a peer connection (fault injection, digest
-  /// attestation, zero-copy blob send). Returns false when the connection
-  /// was dropped and serving must stop.
-  bool serve_get(Endpoint& peer, const proto::GetMsg& get);
+  /// attestation, zero-copy blob send).
+  void serve_get(Endpoint& peer, const proto::GetMsg& get);
   void serve_pool_main();
 
   WorkerConfig config_;
@@ -186,12 +184,11 @@ class Worker {
   std::vector<std::thread> transfer_pool_;
   std::thread transfer_server_;
 
-  // Event-driven peer serving (TCP transport): endpoints that support
-  // receiver callbacks push each inbound frame — and finally the death
-  // notification — into serve_jobs_ as {peer_id, frame}; a small fixed
-  // pool drains it. One pool serves every peer connection, replacing the
-  // old thread-per-peer model. Transports without receiver support
-  // (in-process channels) keep a legacy serve_peer thread instead.
+  // Event-driven peer serving: every peer connection pushes each inbound
+  // frame — and finally the death notification — into serve_jobs_ as
+  // {peer_id, frame}, from the reactor thread (TCP) or the requester's
+  // sending thread (in-process channel); a small fixed pool drains it.
+  // No thread is spent per connection on either transport.
   struct ServeJob {
     std::uint64_t peer_id = 0;
     Result<Frame> frame;
@@ -202,9 +199,8 @@ class Worker {
 
   // Guards task_threads_ and finished_task_threads_ (launched by the main
   // loop, filed as finished by each task thread, joined at the next launch
-  // and by stop()), peer_threads_ (appended by the transfer server, drained
-  // by stop()) and serve_peers_. Joins and endpoint destruction happen with
-  // the threads moved out, never under the lock (an Endpoint dtor
+  // and by stop()) and serve_peers_. Joins and endpoint destruction happen
+  // with the threads moved out, never under the lock (an Endpoint dtor
   // deregisters from the reactor).
   Mutex threads_mutex_{lock_rank::Rank::worker_threads};
   // task and library-start executions by launch key
@@ -212,9 +208,7 @@ class Worker {
   // keys of task threads whose work is done, awaiting a join
   std::vector<std::uint64_t> finished_task_threads_ VINE_GUARDED_BY(threads_mutex_);
   std::uint64_t next_task_thread_ VINE_GUARDED_BY(threads_mutex_) = 0;
-  // per-peer-connection servers
-  std::vector<std::thread> peer_threads_ VINE_GUARDED_BY(threads_mutex_);
-  // receiver-driven peer connections, keyed by their serve-job id
+  // peer connections, keyed by their serve-job id
   std::map<std::uint64_t, std::shared_ptr<Endpoint>> serve_peers_
       VINE_GUARDED_BY(threads_mutex_);
 

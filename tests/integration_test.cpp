@@ -388,6 +388,46 @@ TEST(Integration, ServerlessLibraryAndFunctionCalls) {
   EXPECT_EQ(m.library_instances("itest.bgd"), 2);
 }
 
+TEST(Integration, ReportTimestampsShareTheManagerClock) {
+  // Workers time each run on their own clocks; the manager anchors the
+  // measured duration on its clock, so every report is ordered end to end.
+  LibraryBlueprint bp;
+  bp.name = "itest.clock";
+  bp.init = [](const FunctionContext&) -> Result<LibraryState> {
+    return LibraryState(std::make_shared<int>(0));
+  };
+  bp.functions["echo"] = [](const LibraryState&, const std::string& args,
+                            const FunctionContext&) -> Result<std::string> {
+    return args;
+  };
+  LibraryRegistry::instance().register_library(bp);
+
+  auto cluster = LocalCluster::create({.workers = 2});
+  ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  Manager& m = (*cluster)->manager();
+  ASSERT_TRUE(m.install_library("itest.clock",
+                                {.cores = 1, .memory_mb = 0, .disk_mb = 0, .gpus = 0})
+                  .ok());
+
+  constexpr int kEach = 8;
+  for (int i = 0; i < kEach; ++i) {
+    ASSERT_TRUE(m.submit(TaskBuilder("sleep 0.01").build()).ok());
+    ASSERT_TRUE(m.submit(TaskBuilder::function_call("itest.clock", "echo",
+                                                    std::to_string(i))
+                             .cores(1)
+                             .build())
+                    .ok());
+  }
+  auto reports = drain(m);
+  ASSERT_EQ(reports.size(), static_cast<std::size_t>(2 * kEach));
+  for (const auto& [id, r] : reports) {
+    ASSERT_TRUE(r.ok()) << r.error_message;
+    EXPECT_LE(r.submitted_at, r.dispatched_at) << "task " << id;
+    EXPECT_LE(r.dispatched_at, r.started_at) << "task " << id;
+    EXPECT_LE(r.started_at, r.finished_at) << "task " << id;
+  }
+}
+
 TEST(Integration, LibraryInputsStagedIntoInstanceSandbox) {
   LibraryBlueprint bp;
   bp.name = "itest.envlib";

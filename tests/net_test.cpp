@@ -7,9 +7,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/uuid.hpp"
 #include "net/channel.hpp"
@@ -319,6 +325,129 @@ TEST_P(TransportTest, MultipleClients) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTransports, TransportTest,
+                         ::testing::Values(TransportKind::channel,
+                                           TransportKind::tcp),
+                         [](const auto& info) {
+                           return info.param == TransportKind::channel ? "Channel"
+                                                                       : "Tcp";
+                         });
+
+// ------------------------------------------------------- push delivery
+
+/// What a receiver callback was handed, in order: each frame's tag, and
+/// "error" for the terminal error.
+class Received {
+ public:
+  std::function<void(Result<Frame>)> receiver() {
+    return [this](Result<Frame> f) {
+      std::lock_guard<std::mutex> lock(mu_);
+      items_.push_back(f.ok() ? f->tag : "error");
+      cv_.notify_all();
+    };
+  }
+
+  bool wait_for(std::size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, 2000ms, [&] { return items_.size() >= n; });
+  }
+
+  std::vector<std::string> items() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return items_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<std::string> items_;
+};
+
+class PushDeliveryTest : public ::testing::TestWithParam<TransportKind> {
+ protected:
+  /// A connected {client, server} pair: make_channel_pair, or TCP loopback.
+  std::pair<std::unique_ptr<Endpoint>, std::unique_ptr<Endpoint>> make_pair() {
+    if (GetParam() == TransportKind::channel) {
+      return make_channel_pair("client", "server");
+    }
+    auto listener = tcp_listen(0);
+    EXPECT_TRUE(listener.ok());
+    auto client = tcp_connect((*listener)->address(), 2000ms);
+    auto server = (*listener)->accept(2000ms);
+    EXPECT_TRUE(client.ok() && server.ok());
+    return {std::move(*client), std::move(*server)};
+  }
+};
+
+TEST_P(PushDeliveryTest, ReceiverContract) {
+  const std::vector<std::string> first{"0", "1", "2", "3", "4", "5"};
+  {
+    // Frames sent before set_receiver drain first, in order; later ones
+    // follow. A local close ends the stream with exactly one terminal
+    // error, and no callback runs once close() has returned.
+    Received got;  // declared first: it must outlive both endpoints
+    auto [client, server] = make_pair();
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(client->send_blob(first[i], "x").ok());
+    std::this_thread::sleep_for(20ms);  // let the transport buffer them
+    server->set_receiver(got.receiver());
+    for (int i = 3; i < 6; ++i) ASSERT_TRUE(client->send_blob(first[i], "x").ok());
+    ASSERT_TRUE(got.wait_for(first.size()));
+
+    std::atomic<bool> stop{false};
+    std::thread sender([&, &client = client] {
+      while (!stop.load() && client->send_blob("late", "x").ok()) {
+        std::this_thread::sleep_for(100us);
+      }
+    });
+    std::this_thread::sleep_for(5ms);
+    server->close();
+    const std::size_t at_close = got.items().size();
+    std::this_thread::sleep_for(50ms);
+    stop.store(true);
+    sender.join();
+
+    auto items = got.items();
+    EXPECT_EQ(items.size(), at_close) << "callback ran after close() returned";
+    ASSERT_GT(items.size(), first.size());
+    EXPECT_EQ(std::vector<std::string>(items.begin(), items.begin() + 6), first);
+    EXPECT_EQ(std::count(items.begin(), items.end(), "error"), 1);
+    EXPECT_EQ(items.back(), "error");
+
+    auto st = server->send_blob("t", "x");
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.error().code, Errc::unavailable);
+  }
+  {
+    // A peer close ends the stream the same way: one terminal error,
+    // after the last frame.
+    Received got;
+    auto [client, server] = make_pair();
+    server->set_receiver(got.receiver());
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(client->send_blob(first[i], "x").ok());
+    ASSERT_TRUE(got.wait_for(3));
+    client->close();
+    ASSERT_TRUE(got.wait_for(4));
+    std::this_thread::sleep_for(50ms);
+    EXPECT_EQ(got.items(), (std::vector<std::string>{"0", "1", "2", "error"}));
+
+    auto st = client->send_blob("t", "x");
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.error().code, Errc::unavailable);
+  }
+  {
+    // On a connection whose peer already closed, set_receiver delivers the
+    // terminal error before it returns.
+    Received got;
+    auto [client, server] = make_pair();
+    client->close();
+    auto f = server->recv(2000ms);  // the transport has seen the close
+    ASSERT_FALSE(f.ok());
+    ASSERT_EQ(f.error().code, Errc::unavailable);
+    server->set_receiver(got.receiver());
+    EXPECT_EQ(got.items(), std::vector<std::string>{"error"});
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTransports, PushDeliveryTest,
                          ::testing::Values(TransportKind::channel,
                                            TransportKind::tcp),
                          [](const auto& info) {

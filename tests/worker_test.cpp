@@ -519,6 +519,51 @@ TEST(WorkerSoak, FinishedTaskThreadsDoNotAccumulate) {
   EXPECT_LE(open_fds(), fds_warm + 4);
 }
 
+TEST(WorkerSoak, ServedPeerFetchesDoNotAccumulate) {
+  auto cluster = LocalCluster::create({.workers = 2});
+  ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  Manager& m = (*cluster)->manager();
+  // Each round produces a distinct temp on w0 and consumes it on w1, which
+  // must fetch it from w0's transfer service: one served peer connection.
+  // Temps are named by their producer, so every producer differs.
+  int round = 0;
+  auto run = [&](int rounds) {
+    for (int i = 0; i < rounds; ++i, ++round) {
+      FileRef temp = m.declare_temp();
+      ASSERT_TRUE(m.submit(TaskBuilder("echo " + std::to_string(round) + " > f")
+                               .output(temp, "f")
+                               .pin_to_worker("w0")
+                               .build())
+                      .ok());
+      ASSERT_TRUE(m.submit(TaskBuilder("cat f")
+                               .input(temp, "f")
+                               .pin_to_worker("w1")
+                               .build())
+                      .ok());
+      for (int k = 0; k < 2; ++k) {
+        auto r = m.wait(20000ms);
+        ASSERT_TRUE(r.ok()) << r.error().to_string();
+        ASSERT_TRUE(r->ok()) << r->error_message;
+      }
+    }
+  };
+  run(20);
+  const long threads_warm = self_status("Threads");
+  const long vm_warm_kb = self_status("VmSize");
+  const long fds_warm = open_fds();
+  ASSERT_GT(threads_warm, 0);
+  ASSERT_GT(vm_warm_kb, 0);
+  ASSERT_GT(fds_warm, 0);
+  run(200);
+  // A serving thread per fetch, exited but never joined, keeps its 8 MiB
+  // stack mapped: ~1.6 GiB over 200 fetches. The budget covers malloc
+  // arena reservations and a few stacks in flight.
+  EXPECT_LE(self_status("Threads"), threads_warm + 4);
+  EXPECT_LE(self_status("VmSize"), vm_warm_kb + 256 * 1024);
+  EXPECT_LE(open_fds(), fds_warm + 4);
+  EXPECT_EQ(m.stats().transfers_from_peers, 220);
+}
+
 // ------------------------------------------------------ data-plane digests
 
 /// Two workers, with one task output produced (and held only) on w0.

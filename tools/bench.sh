@@ -14,8 +14,8 @@
 # fig13_topeft_storage --workers 500). Writes BENCH_sched.json,
 # BENCH_sim.json, BENCH_obs.json, BENCH_net.json, BENCH_naming.json and
 # BENCH_redundancy.json at the repo root: items/sec (or seconds) per row next
-# to the frozen pre-refactor baseline, with the speedup factor (the obs
-# suite gates on absolute cost budgets instead — it is a new subsystem).
+# to the frozen pre-refactor baseline, with the speedup factor (the obs and
+# net suites gate on absolute budgets and floors instead).
 #
 # Usage:
 #   tools/bench.sh           # full run (benchmark_min_time=0.2 per case)
@@ -25,15 +25,11 @@
 # The baseline constants were measured on the pre-refactor code (BASELINE
 # in the sched block: the commit before the interned-token catalog;
 # BASELINE_SIM: the commit before the incremental flow engine / tombstone-
-# free event core; BASELINE_NET: the commit before the epoll reactor,
-# with bench/micro_net.cpp built against the thread-per-connection
-# transport via -DVINE_BENCH_LEGACY_SEND) on the same machine class the
-# full run targets; regenerate them only when intentionally re-baselining:
-# git checkout <pre-refactor-sha>, run this script (for net: copy
-# bench/micro_net.cpp into a worktree at the pre-reactor commit, add the
-# target with the VINE_BENCH_LEGACY_SEND define, alternate runs with the
-# current build on a quiet machine), and transplant the "current" numbers
-# into the matching BASELINE table below.
+# free event core) on the same machine class the full run targets;
+# regenerate them only when intentionally re-baselining: git checkout
+# <pre-refactor-sha>, run this script, and transplant the "current"
+# numbers into the matching BASELINE table below. The micro_net gates are
+# absolute floors (NET_FLOORS), not ratios.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -316,40 +312,27 @@ fi
 SMOKE="$SMOKE" python3 - "$RAW_NET" <<'PYEOF'
 import json, os, sys
 
-# Throughput of the pre-reactor transport (one blocking write syscall per
-# frame, one parked reader thread per connection, blob serves copied
-# through userspace), measured from the identical bench source built with
-# -DVINE_BENCH_LEGACY_SEND at the pre-reactor commit. Medians of three
-# alternating runs on the same machine as the current numbers.
-BASELINE_NET_ITEMS = {
-    "BM_SmallFrames/8/real_time": 283557.0,
-    "BM_SmallFrames/64/real_time": 257576.0,
-    "BM_SmallFrames/256/real_time": 236216.0,
-}
-BASELINE_NET_BYTES = {
-    "BM_BlobServe/real_time": 2.6098e8,
+# Absolute floors on the two data-plane claims, in google-benchmark units.
+# They replace ratio gates over the pre-reactor thread-per-connection
+# transport, whose code is gone, at the identical thresholds: 5x its
+# 236216 small frames/s at 256 connections and 2x its 2.6098e8 B/s blob
+# serve.
+NET_FLOORS = {
+    "BM_SmallFrames/256/real_time": ("items_per_second", 5 * 236216.0),
+    "BM_BlobServe/real_time": ("bytes_per_second", 2 * 2.6098e8),
 }
 
 raw = json.load(open(sys.argv[1]))
 rows = {}
 for b in raw["benchmarks"]:
     name = b["name"]
-    ips = b.get("items_per_second")
-    bps = b.get("bytes_per_second")
-    if ips is not None:
-        base = BASELINE_NET_ITEMS.get(name)
-        rows[name] = {
-            "baseline_items_per_second": base,
-            "items_per_second": round(ips, 2),
-            "speedup": round(ips / base, 2) if base else None,
-        }
-    elif bps is not None:
-        base = BASELINE_NET_BYTES.get(name)
-        rows[name] = {
-            "baseline_bytes_per_second": base,
-            "bytes_per_second": round(bps, 2),
-            "speedup": round(bps / base, 2) if base else None,
-        }
+    for unit in ("items_per_second", "bytes_per_second"):
+        if b.get(unit) is None:
+            continue
+        rows[name] = {unit: round(b[unit], 2)}
+        if name in NET_FLOORS:
+            rows[name]["floor"] = NET_FLOORS[name][1]
+        break
 
 out = {
     "suite": "micro_net",
@@ -362,7 +345,7 @@ with open("BENCH_net.json", "w") as f:
     f.write("\n")
 
 for name, r in rows.items():
-    s = f' ({r["speedup"]}x)' if r["speedup"] else ""
+    s = f' (floor {r["floor"]:.6g})' if "floor" in r else ""
     if "items_per_second" in r:
         print(f'{name}: {r["items_per_second"]:.0f} items/s{s}')
     else:
@@ -370,15 +353,12 @@ for name, r in rows.items():
 
 # Loopback throughput needs a quiet machine for stable numbers (the
 # sender, reactor, and receiver share cores), so like the sched gate these
-# are full-run-only. Current margins on the baseline machine: ~6-7x small
-# frames at 256 connections, ~2.2x blob serve.
+# are full-run-only.
 if not out["smoke"]:
-    key = rows.get("BM_SmallFrames/256/real_time")
-    if key and key["speedup"] is not None and key["speedup"] < 5.0:
-        sys.exit(f'FAIL: BM_SmallFrames/256 speedup {key["speedup"]}x < 5x target')
-    key = rows.get("BM_BlobServe/real_time")
-    if key and key["speedup"] is not None and key["speedup"] < 2.0:
-        sys.exit(f'FAIL: BM_BlobServe speedup {key["speedup"]}x < 2x target')
+    for name, (unit, floor) in NET_FLOORS.items():
+        r = rows.get(name)
+        if r and r[unit] < floor:
+            sys.exit(f'FAIL: {name} {r[unit]:.6g} {unit} < floor {floor:.6g}')
 print("wrote BENCH_net.json")
 PYEOF
 
