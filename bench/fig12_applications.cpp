@@ -87,10 +87,10 @@ int main(int argc, char** argv) {
 
     // Ramp shape: throughput in the first minutes is below steady state
     // because libraries are still deploying; env staged once per worker.
-    all_ok &= run.sim->stats().unpacks == p.workers;
+    all_ok &= run.sim->stats().mini_tasks_run == p.workers;
     all_ok &= run.sim->stats().tasks_unfinished == 0;
     summary_row("fig12_bgd", "library_env_unpacks",
-                static_cast<double>(run.sim->stats().unpacks));
+                static_cast<double>(run.sim->stats().mini_tasks_run));
   }
 
   summary_row("fig12", "shape_holds", all_ok ? "yes" : "NO");

@@ -79,7 +79,7 @@ void print_summary(const std::string& label, const ClusterSim& sim) {
   summary_row(label, "transfers_sharedfs", st.transfers_from_sharedfs);
   summary_row(label, "transfers_manager", st.transfers_from_manager);
   summary_row(label, "transfers_peers", st.transfers_from_peers);
-  summary_row(label, "unpacks", st.unpacks);
+  summary_row(label, "unpacks", st.mini_tasks_run);
   summary_row(label, "retrievals_to_manager", st.retrievals_to_manager);
   summary_row(label, "GB_from_archive", st.bytes_from_archive / 1e9);
   summary_row(label, "GB_from_sharedfs", st.bytes_from_sharedfs / 1e9);

@@ -24,11 +24,6 @@ Core::Core(Host& host, ControlStats& stats, SchedulerConfig sched,
 
 // ------------------------------------------------------------ workers
 
-WorkerSnapshot* Core::worker(const WorkerId& id) {
-  auto it = slot_.find(id);
-  return it == slot_.end() ? nullptr : &snapshots_[it->second];
-}
-
 const WorkerSnapshot* Core::worker(const WorkerId& id) const {
   auto it = slot_.find(id);
   return it == slot_.end() ? nullptr : &snapshots_[it->second];
@@ -163,12 +158,209 @@ void Core::set_state(TaskEntry& task, TaskState state) {
 
 void Core::release(TaskEntry& task) {
   if (!task.committed) return;
-  if (WorkerSnapshot* snap = worker(task.worker)) {
-    snap->committed -= task.spec.resources;
-    snap->running_tasks -= 1;
+  auto it = slot_.find(task.worker);
+  if (it != slot_.end()) {
+    snapshots_[it->second].committed -= task.spec.resources;
+    snapshots_[it->second].running_tasks -= 1;
     avail_cores_ += task.spec.resources.cores;
   }
   task.committed = false;
+}
+
+// ------------------------------------------------------------ host reports
+
+ClosedTransfer Core::transfer_closed(const std::string& uuid, const WorkerId& dest,
+                                     const std::string& cache_name,
+                                     TransferOutcome outcome, std::int64_t bytes) {
+  using Kind = Transfer::Kind;
+  ClosedTransfer out;
+  out.record = transfers_.finish(uuid);
+  const bool ok = outcome == TransferOutcome::ok;
+  if (ok) {
+    replicas_.set_replica(cache_name, dest, ReplicaState::present, bytes);
+  } else {
+    replicas_.remove_replica(cache_name, dest);
+  }
+  if (!out.record) {
+    // A worker loss already dropped the record and refunded its class.
+    if (outcome == TransferOutcome::failed) ++stats_.transfer_failures;
+    return out;
+  }
+  const TransferSource& source = out.record->source;
+  const bool self = source.kind == TransferSource::Kind::worker && source.key == dest;
+  // The background transfer class holds prefetches and replication copies.
+  const bool replica = out.record->prefetch && replication_live_.erase(uuid) > 0;
+  const bool prefetch = out.record->prefetch && !replica;
+  if (prefetch) prefetch_live_.erase(uuid);
+  out.kind = replica    ? Kind::replica
+             : prefetch ? Kind::prefetch
+             : self     ? Kind::mini_task
+                        : Kind::fetch;
+
+  if (!ok) {
+    if (outcome == TransferOutcome::cancelled && prefetch) {
+      ++stats_.prefetch_cancelled;
+      stats_.prefetch_wasted_bytes += bytes;
+      return out;
+    }
+    ++stats_.transfer_failures;
+    // Only a task-critical fetch blames its source: background traffic
+    // must not poison critical-path source health, and a mini-task's
+    // "source" is its own destination.
+    if (out.kind == Kind::fetch) scheduler_.note_transfer_failure(source, host_.now());
+    if (replica) redundancy_.note_replica_done(cache_name, dest, false, 0);
+    return out;
+  }
+  if (!self) scheduler_.note_transfer_success(source);
+  switch (out.kind) {
+    case Kind::replica:
+      // Pinned: eviction must never drop a redundancy copy.
+      replicas_.pin(cache_name, dest);
+      ++stats_.replications;
+      stats_.replication_bytes += bytes;
+      redundancy_.note_replica_done(cache_name, dest, true, bytes);
+      break;
+    case Kind::prefetch:
+      // Unclaimed until a placement lands on it (prefetch_hits); its bytes
+      // never mix into the task-critical per-source totals.
+      ++stats_.transfers_prefetch;
+      stats_.bytes_prefetch += bytes;
+      prefetched_.insert({cache_name, dest});
+      break;
+    case Kind::mini_task:
+      ++stats_.mini_tasks_run;
+      break;
+    case Kind::fetch:
+      switch (source.kind) {
+        case TransferSource::Kind::manager:
+          ++stats_.transfers_from_manager;
+          stats_.bytes_from_manager += bytes;
+          break;
+        case TransferSource::Kind::url:
+          ++stats_.transfers_from_url;
+          stats_.bytes_from_url += bytes;
+          break;
+        case TransferSource::Kind::worker:
+          ++stats_.transfers_from_peers;
+          stats_.bytes_from_peers += bytes;
+          break;
+      }
+      break;
+  }
+  return out;
+}
+
+void Core::task_done(TaskEntry& task, TaskState state,
+                     std::span<const CachedObject> outputs, double runtime_s) {
+  release(task);
+  for (const CachedObject& out : outputs) {
+    replicas_.set_replica(out.cache_name, task.worker, ReplicaState::present, out.size);
+  }
+  // Done or retrying, the outputs are no longer expected anywhere: they
+  // exist as replicas now or are re-expected at re-placement.
+  for (const auto& out : task.spec.outputs) {
+    if (out.file) expected_outputs_.erase(out.file->cache_name);
+  }
+  if (state == TaskState::done) {
+    ++stats_.tasks_done;
+    const bool replicate = redundancy_.enabled() && task.spec.kind != TaskKind::library;
+    std::vector<std::string> temp_inputs;
+    for (const auto& in : task.spec.inputs) {
+      if (!in.file || in.file->kind != FileKind::temp) continue;
+      if (replicate) temp_inputs.push_back(in.file->cache_name);
+      // A completed consumer closes its producer's recovery episode: a
+      // later loss of the same output is a new recovery.
+      auto it = tasks_.find(in.file->producer_task);
+      if (it != tasks_.end()) it->second.recovering = false;
+    }
+    for (const auto& out : task.spec.outputs) {
+      if (!replicate || !out.file || out.file->kind != FileKind::temp) continue;
+      const std::string& name = out.file->cache_name;
+      if (!replicas_.has_present(name, task.worker)) continue;  // retrieved
+      redundancy_.note_produced(name, runtime_s, replicas_.known_size(name), temp_inputs);
+    }
+  } else if (state == TaskState::failed) {
+    ++stats_.tasks_failed;
+  }
+  // A done or failed event names the worker it ran on; a retry's does not.
+  if (state == TaskState::ready) task.worker.clear();
+  set_state(task, state);
+  task.worker.clear();
+}
+
+void Core::object_announced(const WorkerId& worker, const CachedObject& object) {
+  replicas_.set_replica(object.cache_name, worker, ReplicaState::present, object.size);
+}
+
+void Core::object_dropped(const WorkerId& worker, const std::string& cache_name) {
+  replicas_.remove_replica(cache_name, worker);
+}
+
+void Core::library_ready(const WorkerId& worker, TaskId id, const std::string& library) {
+  auto sit = slot_.find(worker);
+  if (sit != slot_.end()) snapshots_[sit->second].libraries.insert(library);
+  // The instance runs for the rest of the workflow: done for bookkeeping,
+  // its resources stay committed on the worker.
+  if (TaskEntry* task = this->task(id)) set_state(*task, TaskState::done);
+}
+
+void Core::workflow_ended(std::span<const std::string> names) {
+  for (const std::string& name : names) replicas_.remove_file(name);
+  for (WorkerSnapshot& snap : snapshots_) snap.libraries.clear();
+}
+
+// ------------------------------------------------------------ elasticity
+
+factory::FactorySignals Core::factory_signals(double now) const {
+  factory::FactorySignals s;
+  s.now = now;
+  s.alive_workers = static_cast<int>(snapshots_.size());
+  double disk_total_mb = 0, disk_used_mb = 0;
+  for (const WorkerSnapshot& snap : snapshots_) {
+    s.total_cores += snap.total.cores;
+    s.busy_cores += snap.committed.cores;
+    s.running_tasks += snap.running_tasks;
+    if (snap.total.disk_mb <= 0) continue;  // sim workers model no disk
+    disk_total_mb += snap.total.disk_mb;
+    for (const std::string& name : replicas_.files_on(snap.id)) {
+      disk_used_mb += static_cast<double>(replicas_.known_size(name)) / (1024.0 * 1024.0);
+    }
+  }
+  // Waiting for a worker, not for inputs: a placed task (a library
+  // instance included) is not queue depth.
+  for (const TaskId id : ready_) s.ready_tasks += tasks_.at(id).worker.empty();
+  s.cache_pressure = disk_total_mb > 0 ? disk_used_mb / disk_total_mb : 0;
+  s.replication_backlog = redundancy_.backlog();
+  return s;
+}
+
+std::vector<WorkerId> Core::retirable(int n) const {
+  std::vector<WorkerId> out;
+  std::map<std::string, int> leaving;  // copies the batch takes away
+  for (const auto& [id, slot] : slot_) {  // id order
+    if (static_cast<int>(out.size()) >= n) break;
+    const WorkerSnapshot& snap = snapshots_[slot];
+    // Only factory-spawned workers: the declared pool is the fixture. A
+    // library instance holds cores, so library hosts never retire.
+    if (id.rfind("fw", 0) != 0 || snap.running_tasks > 0 || snap.committed.cores > 0) {
+      continue;
+    }
+    if (transfers_.inflight_to(id) + transfers_.inflight_from_worker(id) +
+            transfers_.prefetch_inflight_to(id) +
+            transfers_.prefetch_inflight_from_worker(id) > 0) {
+      continue;
+    }
+    const std::vector<std::string> held = replicas_.files_on(id);
+    if (std::any_of(held.begin(), held.end(), [&](const std::string& name) {
+          auto it = leaving.find(name);
+          return replicas_.present_count(name) - (it == leaving.end() ? 0 : it->second) < 2;
+        })) {
+      continue;
+    }
+    for (const std::string& name : held) ++leaving[name];
+    out.push_back(id);
+  }
+  return out;
 }
 
 // ------------------------------------------------------------ the pass

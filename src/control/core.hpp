@@ -1,20 +1,23 @@
-// The control core: the manager's scheduling decisions (paper §3.3) as one
-// single-threaded, sans-I/O state machine. The real Manager and ClusterSim
-// each embed a Core and implement the small Host interface below, so which
-// task goes where, which source stages an input, what to prefetch or
-// replicate, and what a worker loss re-queues or recovers is decided by one
-// implementation for both halves.
+// The control core: the manager's scheduling decisions and bookkeeping
+// (paper §3.3) as one single-threaded, sans-I/O state machine. The real
+// Manager and ClusterSim each embed a Core and implement the small Host
+// interface below, so which task goes where, which source stages an input,
+// what to prefetch or replicate, and what a worker loss re-queues or
+// recovers is decided by one implementation for both halves.
 //
 // The core owns the task view and ready set, the dense WorkerSnapshot
 // vector with its id -> slot map and Σ available cores, the replica and
-// transfer tables, the scheduler, the redundancy engine, and the lookahead
-// state. The host moves bytes, starts tasks, cancels background transfers
-// and emits events on its clock; its accounting of transfer completions and
-// task results updates the core through the accessors at the end.
+// transfer tables, the scheduler, the redundancy engine, the lookahead
+// state and the ControlStats counters. A host moves bytes, starts tasks,
+// cancels background transfers and emits events on its clock, then
+// reports what happened: a transfer closed, a task finished, an object was
+// announced or dropped, a worker left. The core does the accounting; its
+// tables are read-only to hosts.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -24,6 +27,7 @@
 #include "catalog/replica_table.hpp"
 #include "catalog/transfer_table.hpp"
 #include "common/invariant.hpp"
+#include "factory/factory.hpp"
 #include "obs/event.hpp"
 #include "redundancy/redundancy.hpp"
 #include "sched/dag_view.hpp"
@@ -32,7 +36,8 @@
 
 namespace vine::control {
 
-/// Counters the core advances; ManagerStats and SimStats extend this.
+/// Counters the core advances for both halves; ManagerStats and SimStats
+/// extend this with host-only fields.
 struct ControlStats {
   std::int64_t cache_hits = 0;       ///< inputs already present at placement
   std::int64_t sched_passes = 0;     ///< schedule_pass invocations
@@ -44,6 +49,24 @@ struct ControlStats {
   /// each one is a replication invariant miss (the soaks assert zero).
   std::int64_t recoveries_replicated = 0;
   std::int64_t replica_repairs = 0;  ///< survivors re-queued after a holder died
+  std::int64_t tasks_done = 0;
+  std::int64_t tasks_failed = 0;
+  // ---- completed task-critical transfers, by source ----
+  std::int64_t transfers_from_manager = 0;
+  std::int64_t transfers_from_url = 0;
+  std::int64_t transfers_from_peers = 0;
+  std::int64_t mini_tasks_run = 0;  ///< objects materialized in place
+  std::int64_t bytes_from_manager = 0;
+  std::int64_t bytes_from_url = 0;
+  std::int64_t bytes_from_peers = 0;
+  std::int64_t transfer_failures = 0;  ///< failed transfers, any class
+  // ---- background classes ----
+  std::int64_t transfers_prefetch = 0;     ///< completed prefetches
+  std::int64_t bytes_prefetch = 0;         ///< bytes they moved
+  std::int64_t prefetch_cancelled = 0;     ///< cancelled (stale prediction)
+  std::int64_t prefetch_wasted_bytes = 0;  ///< bytes cancelled prefetches moved
+  std::int64_t replications = 0;           ///< completed replication copies
+  std::int64_t replication_bytes = 0;      ///< bytes they moved
 };
 
 /// The core's view of one task.
@@ -52,8 +75,8 @@ struct TaskEntry {
   TaskState state = TaskState::ready;
   WorkerId worker;         ///< placed/executing worker; "" when unplaced
   bool committed = false;  ///< spec.resources counted in the worker's snapshot
-  /// Set when the recovery walk re-queues this producer, cleared by the host
-  /// when a consumer of its outputs completes: one episode counts once.
+  /// Set when the recovery walk re-queues this producer, cleared when a
+  /// consumer of its outputs completes (task_done): one episode counts once.
   bool recovering = false;
   std::string category;  ///< task_state event label
 };
@@ -93,6 +116,22 @@ struct DroppedTransfer {
   Transfer::Kind kind = Transfer::Kind::fetch;
 };
 
+/// How a host saw a transfer end.
+enum class TransferOutcome : std::uint8_t { ok, failed, cancelled };
+
+/// What transfer_closed closed, for the host's own transfer_end: the record
+/// (empty when a worker loss already dropped it) and its class.
+struct ClosedTransfer {
+  std::optional<TransferRecord> record;
+  Transfer::Kind kind = Transfer::Kind::fetch;
+};
+
+/// An object a worker holds: a task output, or its cache at hello.
+struct CachedObject {
+  std::string cache_name;
+  std::int64_t size = 0;
+};
+
 /// The I/O a host supplies; called only from inside Core methods.
 class Host {
  public:
@@ -102,8 +141,8 @@ class Host {
   virtual bool move_bytes(const Transfer& t) = 0;
   /// Start `task` on task.worker; it is already TaskState::dispatched.
   virtual void dispatch(TaskEntry& task) = 0;
-  /// Abort a live prefetch; the host closes it (close_prefetch) now or when
-  /// the worker answers.
+  /// Abort a live prefetch; the host reports its close (transfer_closed,
+  /// cancelled) now or when the worker answers.
   virtual void cancel_transfer(const std::string& uuid,
                                const PrefetchTrack& track) = 0;
   virtual void emit(obs::Event ev) = 0;
@@ -122,8 +161,7 @@ class Core {
   // ---- workers
   /// Register a worker, or start a re-registering worker's snapshot over.
   void worker_joined(WorkerSnapshot snap);
-  WorkerSnapshot* worker(const WorkerId& id);  ///< null when not registered
-  const WorkerSnapshot* worker(const WorkerId& id) const;
+  const WorkerSnapshot* worker(const WorkerId& id) const;  ///< null when unknown
   std::span<const WorkerSnapshot> workers() const { return snapshots_; }
 
   /// First half of a worker loss: swap-pop its snapshot, emit a cache_evict
@@ -144,13 +182,10 @@ class Core {
   TaskEntry& submit(TaskSpec spec, std::string category);
   TaskEntry* task(TaskId id);
   const std::unordered_map<TaskId, TaskEntry>& tasks() const { return tasks_; }
-  const std::set<TaskId>& ready() const { return ready_; }
   void erase_task(TaskId id);
   /// Every transition goes through here: keeps the ready set in lockstep and
   /// emits the task_state event.
   void set_state(TaskEntry& task, TaskState state);
-  /// Return a task's committed resources to its worker's snapshot.
-  void release(TaskEntry& task);
 
   // ---- decisions
   /// One pass over the ready set (see DESIGN.md "Control core"). Emits
@@ -165,32 +200,58 @@ class Core {
   /// matches the snapshots, transfers and commitments name live workers.
   void audit(AuditReport& report) const;
 
-  // ---- host accounting
-  FileReplicaTable& replicas() { return replicas_; }
+  // ---- what a host reports
+  /// A transfer ended at `dest`: finishes its record, sets (ok) or removes
+  /// the replica, pins a replication copy, scores the source (a success
+  /// from any source but the destination itself, a failure only for a
+  /// task-critical fetch), closes or refunds prefetch and replication
+  /// state, and advances the counters. A record a worker loss already
+  /// dropped moves only the replica table and the failure count.
+  ClosedTransfer transfer_closed(const std::string& uuid, const WorkerId& dest,
+                                 const std::string& cache_name,
+                                 TransferOutcome outcome, std::int64_t bytes);
+  /// `task` finished on its worker as `state`: done, failed, or ready for a
+  /// retry. Releases its resources, records `outputs` at its worker (none
+  /// when the host retrieves them) and forgets its expected outputs; a
+  /// done task also closes its producers' recovery episodes and tells the
+  /// redundancy engine what it produced in `runtime_s`. Then sets the
+  /// state, counts the task and unplaces it.
+  void task_done(TaskEntry& task, TaskState state,
+                 std::span<const CachedObject> outputs, double runtime_s);
+  /// `worker` holds `object` outside any transfer: its cache at hello, a
+  /// preload, a task output announced ahead of its task_done.
+  void object_announced(const WorkerId& worker, const CachedObject& object);
+  /// `cache_name` left `worker`'s cache: an unlink or an eviction.
+  void object_dropped(const WorkerId& worker, const std::string& cache_name);
+  /// Library instance `task` is up on `worker`: it stays placed, holding
+  /// its resources, and FunctionCalls to `library` may go there.
+  void library_ready(const WorkerId& worker, TaskId task, const std::string& library);
+  /// End of workflow: every copy of `names` is gone and every library
+  /// instance stopped.
+  void workflow_ended(std::span<const std::string> names);
+
+  // ---- elasticity
+  /// One pass worth of factory inputs: unplaced ready tasks, cores, replica
+  /// bytes against the disk of the workers that report one, and the
+  /// replication backlog.
+  factory::FactorySignals factory_signals(double now) const;
+  /// Up to `n` workers the factory may retire, in id order: factory-spawned
+  /// ("fw" prefix), nothing committed, no transfer to or from them, and no
+  /// object loses its last copy to the whole batch.
+  std::vector<WorkerId> retirable(int n) const;
+
+  // ---- read-only views
   const FileReplicaTable& replicas() const { return replicas_; }
-  CurrentTransferTable& transfers() { return transfers_; }
   const CurrentTransferTable& transfers() const { return transfers_; }
-  Scheduler& scheduler() { return scheduler_; }
-  redundancy::RedundancyEngine& redundancy() { return redundancy_; }
+  const Scheduler& scheduler() const { return scheduler_; }
   const redundancy::RedundancyEngine& redundancy() const { return redundancy_; }
   const std::map<std::string, PrefetchTrack>& prefetches() const {
     return prefetch_live_;
   }
-  void close_prefetch(const std::string& uuid) { prefetch_live_.erase(uuid); }
-  /// A completed prefetch left an unclaimed replica at `worker`.
-  void note_prefetched(const std::string& cache_name, const WorkerId& worker) {
-    prefetched_.insert({cache_name, worker});
-  }
-  /// Close a live replication; false when `uuid` was not one.
-  bool close_replication(const std::string& uuid) {
-    return replication_live_.erase(uuid) > 0;
-  }
-  /// A producer finished or is retrying: its output is no longer expected.
-  void forget_expected(const std::string& cache_name) {
-    expected_outputs_.erase(cache_name);
-  }
 
  private:
+  /// Return a task's committed resources to its worker's snapshot.
+  void release(TaskEntry& task);
   /// Gate, saturation shortcut, pick and commit; false = stays unplaced.
   bool place(TaskEntry& task);
   /// Present replica anywhere, or a copy at the manager.

@@ -90,61 +90,19 @@ void LocalCluster::retire_worker(std::size_t i) {
 
 int LocalCluster::factory_pass() {
   if (!factory_.enabled()) return 0;
-  const auto snaps = manager_->workers_snapshot();
-  factory::FactorySignals s;
-  s.now = manager_->now();
-  s.alive_workers = static_cast<int>(snaps.size());
-  double disk_total_mb = 0, disk_used_mb = 0;
-  for (const auto& snap : snaps) {
-    s.total_cores += snap.total.cores;
-    s.busy_cores += snap.committed.cores;
-    s.running_tasks += snap.running_tasks;
-    disk_total_mb += snap.total.disk_mb;
-    for (const auto& name : manager_->replicas().files_on(snap.id)) {
-      disk_used_mb += static_cast<double>(manager_->replicas().known_size(name)) /
-                      (1024.0 * 1024.0);
-    }
-  }
-  const auto outstanding = static_cast<std::int64_t>(manager_->outstanding());
-  s.ready_tasks = std::max<std::int64_t>(0, outstanding - s.running_tasks);
-  s.cache_pressure = disk_total_mb > 0 ? disk_used_mb / disk_total_mb : 0;
-  s.replication_backlog = manager_->replication_backlog();
-
-  const int verdict = factory_.decide(s);
-  if (verdict > 0) {
-    int spawned = 0;
-    for (int i = 0; i < verdict; ++i) {
-      if (add_worker()) ++spawned;
-    }
-    return spawned;
-  }
-  if (verdict < 0) {
-    // Retire only idle, fully replicated factory-spawned workers — the
-    // caller-declared pool is the deployment's fixture.
-    int retired = 0;
-    for (const auto& snap : snaps) {
-      if (retired == -verdict) break;
-      if (snap.id.rfind("fw", 0) != 0) continue;
-      if (snap.running_tasks > 0 || snap.committed.cores > 0) continue;
-      bool safe = true;
-      for (const auto& name : manager_->replicas().files_on(snap.id)) {
-        if (manager_->replicas().present_count(name) < 2) {
-          safe = false;
-          break;
-        }
-      }
-      if (!safe) continue;
-      for (std::size_t i = 0; i < worker_configs_.size(); ++i) {
-        if (worker_configs_[i].id == snap.id && workers_[i]) {
-          retire_worker(i);
-          ++retired;
-          break;
-        }
+  const int verdict = factory_.decide(manager_->core().factory_signals(manager_->now()));
+  int moved = 0;
+  for (int i = 0; i < verdict; ++i) moved += add_worker().ok();
+  for (const WorkerId& id : manager_->core().retirable(-verdict)) {
+    for (std::size_t i = 0; i < worker_configs_.size(); ++i) {
+      if (worker_configs_[i].id == id && workers_[i]) {
+        retire_worker(i);
+        --moved;
+        break;
       }
     }
-    return -retired;
   }
-  return 0;
+  return moved;
 }
 
 Status LocalCluster::restart_worker(std::size_t i) {

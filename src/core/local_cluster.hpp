@@ -87,9 +87,9 @@ class LocalCluster {
   /// manager-side disconnect triggers no recovery.
   void retire_worker(std::size_t i);
 
-  /// Feed the factory one snapshot of manager state (ready depth, core
-  /// utilization, cache pressure, replication backlog) and execute its
-  /// verdict. Returns workers spawned (>0), retired (<0), or 0 for hold.
+  /// Feed the factory the manager's signals (control::Core::factory_signals)
+  /// and execute its verdict, retiring the workers the core finds
+  /// retirable. Returns workers spawned (>0), retired (<0), or 0 for hold.
   int factory_pass();
 
   const factory::WorkerFactory& factory() const { return factory_; }

@@ -428,23 +428,17 @@ Status Manager::wait_for_workers(int count, std::chrono::milliseconds timeout) {
   return Status::success();
 }
 
-std::vector<WorkerSnapshot> Manager::workers_snapshot() const {
-  std::vector<WorkerSnapshot> out;
-  out.reserve(workers_.size());
-  for (const auto& [id, _] : workers_) out.push_back(*core_.worker(id));
-  return out;
-}
-
 void Manager::end_workflow() {
   for (const auto& [worker_id, _] : workers_) {
     send_to_worker(worker_id, proto::EndWorkflowMsg{});
   }
   // Drop replica records for everything below worker lifetime, and forget
   // library deployments (instances were just stopped).
+  std::vector<std::string> dropped;
   for (const auto& [name, level] : level_of_) {
-    if (level != CacheLevel::worker) core_.replicas().remove_file(name);
+    if (level != CacheLevel::worker) dropped.push_back(name);
   }
-  for (const auto& [id, _] : workers_) core_.worker(id)->libraries.clear();
+  core_.workflow_ended(dropped);
   emit_counters();
   maybe_audit("manager.end_workflow");
 }
@@ -586,8 +580,7 @@ void Manager::handle_hello(const std::string& conn_id, const proto::HelloMsg& ms
   // The worker's persistent cache becomes visible replicas immediately —
   // this is what makes hot-cache runs skip staging (Figure 9b).
   for (const auto& obj : msg.cached) {
-    core_.replicas().set_replica(obj.cache_name, msg.worker_id, ReplicaState::present,
-                          obj.size);
+    core_.object_announced(msg.worker_id, {obj.cache_name, obj.size});
     emit(obs::Event::make_cache_insert(clock_.now(), msg.worker_id,
                                        obj.cache_name, obj.size, "preload"));
   }
@@ -604,131 +597,42 @@ void Manager::handle_hello(const std::string& conn_id, const proto::HelloMsg& ms
 
 void Manager::handle_cache_update(const WorkerId& worker,
                                   const proto::CacheUpdateMsg& msg) {
-  FileReplicaTable& replicas = core_.replicas();
-  Scheduler& scheduler = core_.scheduler();
-  std::optional<TransferRecord> rec;
-  if (!msg.transfer_id.empty()) rec = core_.transfers().finish(msg.transfer_id);
-
-  // Replication fetches share the prefetch transfer class, so this branch
-  // must win before the rec->prefetch one below.
-  if (rec && core_.close_replication(msg.transfer_id)) {
-    const std::int64_t bytes = std::max<std::int64_t>(msg.size, 0);
-    emit(obs::Event::make_transfer_end(
-        clock_.now(), msg.cache_name, "replica", source_key_of(rec->source),
-        worker, worker, msg.ok ? bytes : -1, msg.transfer_id, msg.ok,
-        msg.ok ? std::string() : msg.error));
+  // No transfer id: the worker announces a task output or an eviction.
+  // (Its CacheStore emits the cache_insert/cache_evict from its own
+  // vantage point; the manager records only transfer completions.)
+  if (msg.transfer_id.empty()) {
     if (msg.ok) {
-      replicas.set_replica(msg.cache_name, worker, ReplicaState::present,
-                           msg.size);
-      replicas.pin(msg.cache_name, worker);
-      ++stats_.replications;
-      stats_.replication_bytes += bytes;
-      scheduler.note_transfer_success(rec->source);
-      core_.redundancy().note_replica_done(msg.cache_name, worker, true, bytes);
+      core_.object_announced(worker, {msg.cache_name, msg.size});
     } else {
-      // Like prefetch failures: count it, but never blacklist the source —
-      // background traffic must not poison critical-path source health.
-      replicas.remove_replica(msg.cache_name, worker);
-      ++stats_.transfer_failures;
-      core_.redundancy().note_replica_done(msg.cache_name, worker, false, bytes);
+      core_.object_dropped(worker, msg.cache_name);
     }
     return;
   }
-
-  if (rec && rec->prefetch) {
-    // Background staging closes out of band from the critical path: a
-    // completed prefetch becomes an unclaimed replica (hit-counted when a
-    // placement lands on it); a "cancelled" reply is the worker honoring a
-    // cancel_transfer for a stale prediction; a genuine failure counts as
-    // a transfer failure but never blacklists its source or retries —
-    // speculative traffic must not poison critical-path source health.
-    core_.close_prefetch(msg.transfer_id);
-    const std::int64_t bytes = std::max<std::int64_t>(msg.size, 0);
-    const bool cancelled = !msg.ok && msg.error == "cancelled";
-    emit(obs::Event::make_transfer_end(
-        clock_.now(), msg.cache_name, "prefetch", source_key_of(rec->source),
-        worker, worker, msg.ok ? bytes : (cancelled ? 0 : -1), msg.transfer_id,
-        msg.ok, msg.ok ? std::string() : msg.error));
-    if (msg.ok) {
-      replicas.set_replica(msg.cache_name, worker, ReplicaState::present,
-                           msg.size);
-      ++stats_.transfers_prefetch;
-      stats_.bytes_prefetch += bytes;
-      core_.note_prefetched(msg.cache_name, worker);
-      scheduler.note_transfer_success(rec->source);
-    } else {
-      replicas.remove_replica(msg.cache_name, worker);
-      if (cancelled) {
-        ++stats_.prefetch_cancelled;
-        stats_.prefetch_wasted_bytes += bytes;
-      } else {
-        ++stats_.transfer_failures;
-      }
-    }
-    return;
-  }
-
-  // Trace note: the worker's CacheStore emits the cache_insert/cache_evict
-  // for this update from its own vantage point (shared sink in a
-  // LocalCluster); the manager records only the transfer completion.
-  if (rec) {
-    emit(obs::Event::make_transfer_end(
-        clock_.now(), msg.cache_name, source_kind_name(rec->source.kind),
-        source_key_of(rec->source), worker, worker,
-        msg.ok ? std::max<std::int64_t>(msg.size, 0) : -1, msg.transfer_id,
-        msg.ok, msg.ok ? std::string() : msg.error));
-  }
-
-  if (msg.ok) {
-    replicas.set_replica(msg.cache_name, worker, ReplicaState::present, msg.size);
-    if (rec && !(rec->source.kind == TransferSource::Kind::worker &&
-                 rec->source.key == worker)) {
-      scheduler.note_transfer_success(rec->source);
-    }
-  } else {
-    replicas.remove_replica(msg.cache_name, worker);
-    ++stats_.transfer_failures;
-    // Score the failure against the source (unless the "source" was the
-    // destination itself, i.e. a mini-task materialization): plan_source
-    // demotes and temporarily blacklists flaky sources, and falls back to
-    // the fixed source when every peer is unhealthy.
-    if (rec && !(rec->source.kind == TransferSource::Kind::worker &&
-                 rec->source.key == worker)) {
-      scheduler.note_transfer_failure(rec->source, clock_.now());
-    }
+  const bool cancelled = !msg.ok && msg.error == "cancelled";
+  const std::int64_t bytes = std::max<std::int64_t>(msg.size, 0);
+  const control::ClosedTransfer closed = core_.transfer_closed(
+      msg.transfer_id, worker, msg.cache_name,
+      msg.ok ? control::TransferOutcome::ok
+             : cancelled ? control::TransferOutcome::cancelled
+                         : control::TransferOutcome::failed,
+      bytes);
+  if (!msg.ok && !cancelled) {
     VINE_LOG_WARN("manager", "transfer of %s to %s failed: %s",
                   msg.cache_name.c_str(), worker.c_str(), msg.error.c_str());
   }
-
-  if (rec && msg.ok) {
-    std::int64_t bytes = std::max<std::int64_t>(msg.size, 0);
-    switch (rec->source.kind) {
-      case TransferSource::Kind::manager:
-        ++stats_.transfers_from_manager;
-        stats_.bytes_from_manager += bytes;
-        break;
-      case TransferSource::Kind::url:
-        ++stats_.transfers_from_url;
-        stats_.bytes_from_url += bytes;
-        break;
-      case TransferSource::Kind::worker:
-        if (rec->source.key == worker) {
-          ++stats_.mini_tasks_run;  // materialized in place by a mini-task
-        } else {
-          ++stats_.transfers_from_peers;
-          stats_.bytes_from_peers += bytes;
-        }
-        break;
-    }
-  }
+  if (!closed.record) return;
+  const TransferRecord& rec = *closed.record;
+  const bool prefetch = closed.kind == control::Transfer::Kind::prefetch;
+  emit(obs::Event::make_transfer_end(
+      clock_.now(), msg.cache_name, control::transfer_label(closed.kind, rec.source.kind),
+      source_key_of(rec.source), worker, worker,
+      msg.ok ? bytes : (cancelled && prefetch ? 0 : -1), msg.transfer_id, msg.ok,
+      msg.ok ? std::string() : msg.error));
 }
 
-void Manager::finish_task(control::TaskEntry& entry, TaskRuntime& task,
-                          TaskReport report) {
-  core_.set_state(entry, report.state);
+void Manager::deliver(const control::TaskEntry& entry, TaskRuntime& task,
+                      TaskReport report) {
   task.report = report;
-  if (report.state == TaskState::done) ++stats_.tasks_done;
-  else ++stats_.tasks_failed;
   // Re-runs triggered by lost-temp recovery already reported once; the
   // application must not see a second completion.
   if (entry.spec.kind != TaskKind::library && !task.report_delivered) {
@@ -742,23 +646,13 @@ void Manager::handle_task_done(const WorkerId& worker, const proto::TaskDoneMsg&
   control::TaskEntry* entry = core_.task(msg.task_id);
   if (it == tasks_.end() || entry == nullptr) return;
   TaskRuntime& task = it->second;
-  const TaskSpec& spec = entry->spec;
   VINE_LOG_DEBUG("manager", "task %llu done on %s ok=%d rex=%d err=%s",
                  static_cast<unsigned long long>(msg.task_id), worker.c_str(),
                  msg.ok, msg.resource_exceeded, msg.error.c_str());
-  core_.release(*entry);
-
-  // Outputs were announced via cache_update already; make sure the table
-  // has them even if messages raced.
-  FileReplicaTable& replicas = core_.replicas();
-  for (const auto& out : msg.outputs) {
-    replicas.set_replica(out.cache_name, worker, ReplicaState::present, out.size);
-  }
-  // Done or retrying, the outputs are no longer "expected" anywhere: they
-  // either exist as replicas now or will be re-expected at re-placement.
-  for (const auto& out : spec.outputs) {
-    if (out.file) core_.forget_expected(out.file->cache_name);
-  }
+  // Outputs were announced via cache_update already; recording them again
+  // keeps the table right even if messages raced.
+  std::vector<control::CachedObject> outputs;
+  for (const auto& out : msg.outputs) outputs.push_back({out.cache_name, out.size});
 
   if (msg.ok) {
     // The worker's clock has its own epoch: keep the duration it measured
@@ -766,33 +660,7 @@ void Manager::handle_task_done(const WorkerId& worker, const proto::TaskDoneMsg&
     // clock.
     const double run_s = std::max(0.0, msg.finished_at - msg.started_at);
     const double finished_at = clock_.now();
-
-    // A completed consumer closes its producers' recovery episodes: the
-    // recovered temps were consumed, so a *later* loss of the same outputs
-    // is a new recovery, not a continuation (see TaskEntry::recovering).
-    for (const auto& in : spec.inputs) {
-      if (!in.file || in.file->kind != FileKind::temp ||
-          in.file->producer_task == 0) {
-        continue;
-      }
-      if (control::TaskEntry* producer = core_.task(in.file->producer_task)) {
-        producer->recovering = false;
-      }
-    }
-    if (core_.redundancy().enabled() && spec.kind != TaskKind::library) {
-      std::vector<std::string> temp_inputs;
-      for (const auto& in : spec.inputs) {
-        if (in.file && in.file->kind == FileKind::temp) {
-          temp_inputs.push_back(in.file->cache_name);
-        }
-      }
-      for (const auto& out : spec.outputs) {
-        if (!out.file || out.file->kind != FileKind::temp) continue;
-        core_.redundancy().note_produced(out.file->cache_name, run_s,
-                                         replicas.known_size(out.file->cache_name),
-                                         temp_inputs);
-      }
-    }
+    core_.task_done(*entry, TaskState::done, outputs, run_s);
     TaskReport report = task.report;
     report.state = TaskState::done;
     report.exit_code = msg.exit_code;
@@ -801,56 +669,41 @@ void Manager::handle_task_done(const WorkerId& worker, const proto::TaskDoneMsg&
     report.attempts = task.attempts + 1;
     report.started_at = finished_at - run_s;
     report.finished_at = finished_at;
-    finish_task(*entry, task, std::move(report));
+    deliver(*entry, task, std::move(report));
 
-    // Task-lifetime inputs are dead now; reclaim worker storage.
-    if (config_.unlink_task_level_inputs) {
-      for (const auto& in : spec.inputs) {
-        if (in.file && in.file->cache == CacheLevel::task) {
-          send_to_worker(worker, proto::UnlinkMsg{in.file->cache_name});
-          replicas.remove_replica(in.file->cache_name, worker);
-        }
+    // Task-lifetime inputs are dead now; reclaim worker storage (§2.3).
+    for (const auto& in : entry->spec.inputs) {
+      if (in.file && in.file->cache == CacheLevel::task) {
+        send_to_worker(worker, proto::UnlinkMsg{in.file->cache_name});
+        core_.object_dropped(worker, in.file->cache_name);
       }
     }
-    entry->worker.clear();
     return;
   }
 
-  // Failure path: maybe grow the allocation, maybe retry, maybe give up.
+  // Failure path: retry (maybe with a grown allocation) or give up.
   ++task.attempts;
+  const bool retry = task.attempts < entry->spec.max_attempts;
+  core_.task_done(*entry, retry ? TaskState::ready : TaskState::failed, outputs, 0);
   if (msg.resource_exceeded) {
     const WorkerSnapshot* snap = core_.worker(worker);
     Resources cap = snap != nullptr ? snap->total
                                     : entry->spec.resources.grown(entry->spec.resources);
     entry->spec.resources = entry->spec.resources.grown(cap);
   }
-  if (task.attempts < entry->spec.max_attempts) {
-    entry->worker.clear();
-    core_.set_state(*entry, TaskState::ready);
-    return;
-  }
+  if (retry) return;
   TaskReport report = task.report;
   report.state = TaskState::failed;
   report.exit_code = msg.exit_code;
   report.error_message = msg.error;
   report.worker_id = worker;
   report.attempts = task.attempts;
-  // finish_task before clearing the worker so the failed event still names
-  // the worker the final attempt ran on.
-  finish_task(*entry, task, std::move(report));
-  entry->worker.clear();
+  deliver(*entry, task, std::move(report));
 }
 
 void Manager::handle_library_ready(const WorkerId& worker,
                                    const proto::LibraryReadyMsg& msg) {
-  if (WorkerSnapshot* snap = core_.worker(worker)) {
-    snap->libraries.insert(msg.library_name);
-  }
-  if (control::TaskEntry* task = core_.task(msg.task_id)) {
-    // The LibraryTask runs for the rest of the workflow; mark it done for
-    // bookkeeping but keep its resources committed on the worker.
-    core_.set_state(*task, TaskState::done);
-  }
+  core_.library_ready(worker, msg.task_id, msg.library_name);
   VINE_LOG_INFO("manager", "library %s ready on %s", msg.library_name.c_str(),
                 worker.c_str());
 }

@@ -54,10 +54,6 @@ struct ManagerConfig {
 
   std::uint64_t seed = 1;
 
-  /// Delete task-lifetime inputs from a worker right after the consuming
-  /// task completes (paper §2.3).
-  bool unlink_task_level_inputs = true;
-
   /// Evict a worker that has sent nothing (not even a heartbeat) for this
   /// long: its connection is torn down and the usual worker-lost recovery
   /// (requeue, replica purge, lost-temp re-runs) kicks in. This is what
@@ -72,30 +68,12 @@ struct ManagerConfig {
   std::shared_ptr<obs::TraceSink> trace;
 };
 
-/// Counters the benches and examples report (who moved which bytes). The
-/// scheduling counters (sched_passes, tasks_scanned, cache_hits, prefetch
-/// hits/issued, recoveries, replica repairs) come from the control core.
+/// Counters the benches and examples report. Scheduling, task and
+/// transfer counts come from the control core (ControlStats); these are the
+/// manager's own.
 struct ManagerStats : control::ControlStats {
-  std::int64_t tasks_done = 0;
-  std::int64_t tasks_failed = 0;
-  std::int64_t transfers_from_manager = 0;
-  std::int64_t transfers_from_url = 0;
-  std::int64_t transfers_from_peers = 0;
-  std::int64_t mini_tasks_run = 0;
-  std::int64_t bytes_from_manager = 0;
-  std::int64_t bytes_from_url = 0;
-  std::int64_t bytes_from_peers = 0;
-  std::int64_t transfer_failures = 0;  ///< failed transfers reported by workers
-  std::int64_t workers_lost = 0;       ///< disconnects + evictions
-  std::int64_t workers_evicted = 0;    ///< of which: heartbeat-deadline evictions
-  // ---- lookahead input prefetch (sched.prefetch_* counters) ----
-  std::int64_t transfers_prefetch = 0;  ///< completed prefetch transfers
-  std::int64_t bytes_prefetch = 0;      ///< bytes moved by completed prefetches
-  std::int64_t prefetch_cancelled = 0;  ///< cancelled (stale prediction)
-  std::int64_t prefetch_wasted_bytes = 0;  ///< bytes moved by cancelled prefetches
-  // ---- redundancy (only advance when config.redundancy.enabled) ----
-  std::int64_t replications = 0;        ///< completed replication transfers
-  std::int64_t replication_bytes = 0;   ///< bytes moved by completed replications
+  std::int64_t workers_lost = 0;     ///< disconnects + evictions
+  std::int64_t workers_evicted = 0;  ///< of which: heartbeat-deadline evictions
 };
 
 /// The manager hosts a control::Core: the core decides placement, staging
@@ -205,7 +183,6 @@ class Manager : private control::Host {
   void poll(std::chrono::milliseconds timeout) { pump(timeout); }
 
   int worker_count() const { return static_cast<int>(workers_.size()); }
-  std::vector<WorkerSnapshot> workers_snapshot() const;
 
   /// End-of-workflow GC: workers drop task/workflow-lifetime objects and
   /// stop library instances; replica bookkeeping follows.
@@ -215,9 +192,9 @@ class Manager : private control::Host {
   void shutdown();
 
   const ManagerStats& stats() const { return stats_; }
-  /// Temps still below their replication target — the elastic factory's
-  /// replication-backlog scale signal (0 while redundancy is off).
-  int replication_backlog() const { return core_.redundancy().backlog(); }
+  /// The control core, read-only: the elastic factory's signals and
+  /// retirement candidates come from here.
+  const control::Core& core() const { return core_; }
   const FileReplicaTable& replicas() const { return core_.replicas(); }
   const CurrentTransferTable& transfers() const { return core_.transfers(); }
   double now() const override { return clock_.now(); }
@@ -283,7 +260,8 @@ class Manager : private control::Host {
   void cancel_transfer(const std::string& uuid,
                        const control::PrefetchTrack& track) override;
 
-  void finish_task(control::TaskEntry& entry, TaskRuntime& task, TaskReport report);
+  /// Record the final report and queue it for wait() once.
+  void deliver(const control::TaskEntry& entry, TaskRuntime& task, TaskReport report);
   void send_to_worker(const WorkerId& worker, const proto::AnyMessage& msg);
   void install_library_on(const LibraryDef& def, const WorkerId& worker);
   void process_replication_requests();

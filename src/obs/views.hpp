@@ -136,8 +136,9 @@ class ViewBuilder {
   std::vector<std::pair<double, std::int64_t>> xfer_done_;  // (t, bytes)
   // Per-kind event counts live in a flat array (apply() is on the emit hot
   // path; a map<string> tally there costs an allocation per event) and are
-  // materialized as "events.<kind>" names in counters_view().
-  std::array<std::int64_t, static_cast<std::size_t>(EventKind::counters) + 1>
+  // materialized as "events.<kind>" names in counters_view(). One slot per
+  // kind: factory_scale is the last enumerator.
+  std::array<std::int64_t, static_cast<std::size_t>(EventKind::factory_scale) + 1>
       kind_counts_{};
   std::map<std::string, std::int64_t> tallies_;  ///< named non-hot tallies
   std::map<std::string, std::int64_t> last_snapshot_;

@@ -9,7 +9,6 @@ namespace vinesim {
 
 using vine::FileDecl;
 using vine::FileKind;
-using vine::ReplicaState;
 using vine::TaskKind;
 using vine::TaskSpec;
 using vine::TaskState;
@@ -32,7 +31,7 @@ ClusterSim::ClusterSim(SimConfig config)
   metrics_.expose("sim.transfers_from_sharedfs", &stats_.transfers_from_sharedfs);
   metrics_.expose("sim.transfers_from_manager", &stats_.transfers_from_manager);
   metrics_.expose("sim.transfers_from_peers", &stats_.transfers_from_peers);
-  metrics_.expose("sim.unpacks", &stats_.unpacks);
+  metrics_.expose("sim.unpacks", &stats_.mini_tasks_run);
   metrics_.expose("sim.retrievals_to_manager", &stats_.retrievals_to_manager);
   metrics_.expose("sim.bytes_from_archive", &stats_.bytes_from_archive);
   metrics_.expose("sim.bytes_from_sharedfs", &stats_.bytes_from_sharedfs);
@@ -42,6 +41,9 @@ ClusterSim::ClusterSim(SimConfig config)
   metrics_.expose("sim.cache_hits", &stats_.cache_hits);
   metrics_.expose("sim.sched_passes", &stats_.sched_passes);
   metrics_.expose("sim.tasks_scanned", &stats_.tasks_scanned);
+  metrics_.expose("sim.tasks_done", &stats_.tasks_done);
+  metrics_.expose("sim.transfer_failures", &stats_.transfer_failures);
+  metrics_.expose("sim.recoveries", &stats_.recoveries);
   metrics_.expose("sim.transfers_prefetch", &stats_.transfers_prefetch);
   metrics_.expose("sim.bytes_prefetch", &stats_.bytes_prefetch);
   metrics_.expose("sched.prefetch_issued", &stats_.prefetch_issued);
@@ -116,8 +118,7 @@ void ClusterSim::install_library(const std::string& name, double init_duration,
 }
 
 void ClusterSim::preload(const std::string& worker, const SimFile* file) {
-  core_.replicas().set_replica(file->name, worker, ReplicaState::present,
-                               file->size);
+  core_.object_announced(worker, {file->name, file->size});
   emit(vine::obs::Event::make_cache_insert(sim_.now(), worker, file->name,
                                            file->size, "preload"));
 }
@@ -251,23 +252,7 @@ void ClusterSim::request_schedule() {
 }
 
 void ClusterSim::evaluate_factory(double now) {
-  vine::factory::FactorySignals s;
-  s.now = now;
-  s.alive_workers = static_cast<int>(core_.workers().size());
-  for (const auto& snap : core_.workers()) {
-    s.total_cores += snap.total.cores;
-    s.busy_cores += snap.committed.cores;
-    s.running_tasks += snap.running_tasks;
-  }
-  for (const auto tid : core_.ready()) {
-    if (core_.task(tid)->worker.empty()) ++s.ready_tasks;
-  }
-  // Sim workers model unlimited disk, so cache pressure never fires here;
-  // the ready-queue and replication-backlog signals carry the decision.
-  s.cache_pressure = 0;
-  s.replication_backlog = core_.redundancy().backlog();
-
-  const int verdict = factory_.decide(s);
+  const int verdict = factory_.decide(core_.factory_signals(now));
   if (verdict > 0) {
     for (int i = 0; i < verdict; ++i) {
       const std::string id = "fw" + std::to_string(next_factory_worker_++);
@@ -279,62 +264,27 @@ void ClusterSim::evaluate_factory(double now) {
         now, "up:" + std::to_string(verdict) +
                  " pool:" + std::to_string(core_.workers().size())));
   } else if (verdict < 0) {
-    int retired = 0;
-    for (int i = 0; i < -verdict; ++i) {
-      if (!retire_idle_worker(now)) break;
-      ++retired;
-    }
-    if (retired > 0) {
+    const std::vector<std::string> retiring = core_.retirable(-verdict);
+    for (const std::string& id : retiring) retire_worker(id, now);
+    if (!retiring.empty()) {
       emit(vine::obs::Event::make_factory_scale(
-          now, "down:" + std::to_string(retired) +
+          now, "down:" + std::to_string(retiring.size()) +
                    " pool:" + std::to_string(core_.workers().size())));
     }
   }
 }
 
-bool ClusterSim::retire_idle_worker(double now) {
-  // Only factory-spawned workers ("fw<N>") are retirement candidates — the
-  // caller-declared pool is the experiment's fixture, and fault plans index
-  // into it. Candidates in id order for determinism.
-  for (auto& [id, w] : workers_) {
-    if (!w.joined || id.rfind("fw", 0) != 0) continue;
-    const vine::WorkerSnapshot& snap = *core_.worker(id);
-    // Provably idle: nothing running or committed (library instances hold
-    // cores, so library hosts never retire), no fetch activity in or out.
-    if (snap.running_tasks > 0 || snap.committed.cores > 0) continue;
-    if (w.active_fetches > 0) continue;
-    auto qit = worker_queue_.find(id);
-    if (qit != worker_queue_.end() && !qit->second.empty()) continue;
-    bool transfers_touch = false;
-    for (const auto& [_, pf] : inflight_) {
-      if (pf.dest == id || (pf.source.kind == TransferSource::Kind::worker &&
-                            pf.source.key == id)) {
-        transfers_touch = true;
-        break;
-      }
-    }
-    if (transfers_touch) continue;
-    // Fully replicated: every file held here must survive the teardown.
-    const vine::FileReplicaTable& replicas = core_.replicas();
-    const std::vector<std::string> held = replicas.files_on(id);
-    if (std::any_of(held.begin(), held.end(), [&](const std::string& name) {
-          return replicas.present_count(name) < 2;
-        })) {
-      continue;
-    }
-
-    // Graceful teardown — the worker-loss path minus the damage: no tasks
-    // to requeue, no fetch to abort, no temp left without a copy.
-    const std::string retiring = id;
-    w.joined = false;
-    const auto purge = core_.purge_worker(retiring, "retired");
-    net_.remove_node(w.node);
-    core_.recover_after_loss(retiring, purge.lost);
-    emit(vine::obs::Event::make_worker_lost(now, retiring, "retired"));
-    ++stats_.factory_retired;
-    return true;
-  }
-  return false;
+void ClusterSim::retire_worker(const std::string& id, double now) {
+  // Graceful teardown — the worker-loss path minus the damage: no tasks
+  // to requeue, no fetch to abort, no temp left without a copy.
+  WorkerSim& w = workers_.at(id);
+  w.joined = false;
+  worker_queue_.erase(id);
+  const auto purge = core_.purge_worker(id, "retired");
+  net_.remove_node(w.node);
+  core_.recover_after_loss(id, purge.lost);
+  emit(vine::obs::Event::make_worker_lost(now, id, "retired"));
+  ++stats_.factory_retired;
 }
 
 NodeToken ClusterSim::source_node(const TransferSource& src,
@@ -395,14 +345,11 @@ void ClusterSim::cancel_transfer(const std::string& uuid,
                            [&](const PendingFetch& f) { return f.uuid == uuid; });
     if (it != q.end()) q.erase(it);
   }
-  core_.close_prefetch(uuid);
-  core_.transfers().finish(uuid);  // nullopt when a crash already dropped it
-  core_.replicas().remove_replica(track.cache_name, track.dest);
+  core_.transfer_closed(uuid, track.dest, track.cache_name,
+                        vine::control::TransferOutcome::cancelled, moved);
   emit(vine::obs::Event::make_transfer_end(
       now, track.cache_name, "prefetch", track.source.key, track.dest,
       track.dest, moved, uuid, /*ok=*/false, "prefetch_cancelled"));
-  ++stats_.prefetch_cancelled;
-  stats_.prefetch_wasted_bytes += moved;
   auto wit = workers_.find(track.dest);
   if (wit != workers_.end() && wit->second.joined) {
     start_next_fetches(track.dest);
@@ -511,27 +458,11 @@ void ClusterSim::fetch_failed(const PendingFetch& fetch) {
       sim_.now(), fetch.file->name, fetch.label(), source_key_of(fetch.source),
       fetch.dest, fetch.dest, fetch.file->size, fetch.uuid, /*ok=*/false,
       fetch.corrupted ? "digest_reject" : "failed"));
-  core_.transfers().finish(fetch.uuid);  // nullopt when a crash already dropped it
-  core_.replicas().remove_replica(fetch.file->name, fetch.dest);
-  ++stats_.transfer_failures;
-  vine::Scheduler& scheduler = core_.scheduler();
-  if (fetch.kind == PendingFetch::Kind::prefetch) {
-    // A dead prefetch is not retried (the next pass may re-plan it) and —
-    // being best-effort background traffic — does not blacklist its
-    // source for task-critical planning.
-    core_.close_prefetch(fetch.uuid);
-  } else if (fetch.kind == PendingFetch::Kind::replica) {
-    // Same best-effort rule for replication copies: refund the engine's
-    // budget so it can re-plan, but never poison the source's health.
-    core_.close_replication(fetch.uuid);
-    core_.redundancy().note_replica_done(fetch.file->name, fetch.dest,
-                                         /*ok=*/false, 0);
-  } else {
-    scheduler.note_transfer_failure(fetch.source, sim_.now());
-  }
+  core_.transfer_closed(fetch.uuid, fetch.dest, fetch.file->name,
+                        vine::control::TransferOutcome::failed, fetch.file->size);
   // Nothing may happen between now and the source's backoff expiry, and an
   // idle event queue ends the run — so book the retry pass explicitly.
-  const double until = scheduler.source_health().blacklist_until(fetch.source);
+  const double until = core_.scheduler().source_health().blacklist_until(fetch.source);
   if (until > sim_.now()) {
     sim_.at(until, [this] { request_schedule(); });
   }
@@ -553,55 +484,16 @@ void ClusterSim::fetch_complete(const PendingFetch& fetch) {
   emit(vine::obs::Event::make_cache_insert(
       sim_.now(), fetch.dest, fetch.file->name, fetch.file->size,
       unpack ? "unpack" : fetch.background() ? fetch.label() : "fetch"));
-  core_.transfers().finish(fetch.uuid);
-  // Self-sourced mini-tasks (unpack) say nothing about the worker's health
-  // as a *peer* source, so they don't rehabilitate it (mirrors the
-  // manager's cache-update handling).
-  if (!(fetch.source.kind == TransferSource::Kind::worker &&
-        fetch.source.key == fetch.dest)) {
-    core_.scheduler().note_transfer_success(fetch.source);
-  }
-  vine::FileReplicaTable& replicas = core_.replicas();
-  replicas.set_replica(fetch.file->name, fetch.dest, ReplicaState::present,
-                       fetch.file->size);
-
-  if (unpack) {
-    ++stats_.unpacks;
-  } else if (fetch.kind == Kind::replica) {
-    // A landed replica is pinned: eviction must never drop a redundancy
-    // copy, and the engine's budget is refunded for the next plan.
-    replicas.pin(fetch.file->name, fetch.dest);
-    ++stats_.replications;
-    stats_.replication_bytes += fetch.file->size;
-    core_.close_replication(fetch.uuid);
-    core_.redundancy().note_replica_done(fetch.file->name, fetch.dest,
-                                         /*ok=*/true, fetch.file->size);
-  } else if (fetch.kind == Kind::prefetch) {
-    // Prefetched bytes are accounted in their own class — they never mix
-    // into the task-critical per-source totals the Figure-11/13 gates read.
-    ++stats_.transfers_prefetch;
-    stats_.bytes_prefetch += fetch.file->size;
-    core_.note_prefetched(fetch.file->name, fetch.dest);
-    core_.close_prefetch(fetch.uuid);
-  } else {
-    switch (fetch.source.kind) {
-      case TransferSource::Kind::manager:
-        ++stats_.transfers_from_manager;
-        stats_.bytes_from_manager += fetch.file->size;
-        break;
-      case TransferSource::Kind::worker:
-        ++stats_.transfers_from_peers;
-        stats_.bytes_from_peers += fetch.file->size;
-        break;
-      case TransferSource::Kind::url:
-        if (fetch.file->origin == SimFile::Origin::sharedfs) {
-          ++stats_.transfers_from_sharedfs;
-          stats_.bytes_from_sharedfs += fetch.file->size;
-        } else {
-          ++stats_.transfers_from_archive;
-          stats_.bytes_from_archive += fetch.file->size;
-        }
-        break;
+  core_.transfer_closed(fetch.uuid, fetch.dest, fetch.file->name,
+                        vine::control::TransferOutcome::ok, fetch.file->size);
+  // The core counts url fetches once; the sim also splits them by origin.
+  if (fetch.kind == Kind::fetch && fetch.source.kind == TransferSource::Kind::url) {
+    if (fetch.file->origin == SimFile::Origin::sharedfs) {
+      ++stats_.transfers_from_sharedfs;
+      stats_.bytes_from_sharedfs += fetch.file->size;
+    } else {
+      ++stats_.transfers_from_archive;
+      stats_.bytes_from_archive += fetch.file->size;
     }
   }
 
@@ -634,59 +526,33 @@ void ClusterSim::task_complete(std::uint64_t id) {
   TaskEntry& entry = *core_.task(id);
   const std::string worker = entry.worker;
   double now = sim_.now();
-  core_.set_state(entry, TaskState::done);
 
   if (task.is_library) {
     // Instance stays up, holding its cores; announce availability.
-    core_.worker(worker)->libraries.insert(task.library);
+    core_.library_ready(worker, id, task.library);
     request_schedule();
     return;
   }
 
-  ++stats_.tasks_done;
   makespan_ = std::max(makespan_, now);
-  core_.release(entry);
-
+  // Shared-storage mode: outputs *move* to the manager rather than staying
+  // cached at the worker; consumers must pull them back (Figure 13a's
+  // back-and-forth).
+  const bool retrieve = task.retrieve_outputs || config_.retrieve_temp_outputs;
+  std::vector<vine::control::CachedObject> kept;
   for (const auto& out : task.outputs) {
     out.file->size = out.size;
     decls_.at(out.file)->size_hint = out.size > 0 ? out.size : out.file->planned_bytes;
-    // The output exists now; lookahead no longer needs the producer hint.
-    core_.forget_expected(out.file->name);
-    if (task.retrieve_outputs || config_.retrieve_temp_outputs) {
-      // Shared-storage mode: the output *moves* to the manager rather than
-      // staying cached at the worker; consumers must pull it back
-      // (Figure 13a's back-and-forth).
+    if (!retrieve) kept.push_back({out.file->name, out.size});
+  }
+  core_.task_done(entry, TaskState::done, kept,
+                  std::max(0.0, now - runs_[id].started_at));
+  for (const auto& out : task.outputs) {
+    if (retrieve) {
       retrieve_output(out.file, worker);
     } else {
-      core_.replicas().set_replica(out.file->name, worker, ReplicaState::present,
-                                   out.size);
       emit(vine::obs::Event::make_cache_insert(now, worker, out.file->name,
                                                out.size, "task_output"));
-    }
-  }
-
-  // A consumer completing closes its producers' recovery episodes: the
-  // re-produced temp has now been consumed, so a later loss of the same
-  // chain counts as a fresh recovery (mirrors the manager).
-  for (const auto* in : task.inputs) {
-    if (in->origin != SimFile::Origin::temp || in->producer == nullptr) continue;
-    if (TaskEntry* producer = core_.task(in->producer->id)) {
-      producer->recovering = false;
-    }
-  }
-
-  if (config_.redundancy.enabled) {
-    // Tell the engine what this run just produced: observed runtime and the
-    // temp inputs whose ancestry deepens the loss cost.
-    std::vector<std::string> temp_inputs;
-    for (const auto* in : task.inputs) {
-      if (in->origin == SimFile::Origin::temp) temp_inputs.push_back(in->name);
-    }
-    const double runtime_s = std::max(0.0, now - runs_[id].started_at);
-    for (const auto& out : task.outputs) {
-      if (task.retrieve_outputs || config_.retrieve_temp_outputs) continue;
-      core_.redundancy().note_produced(out.file->name, runtime_s, out.size,
-                                       temp_inputs);
     }
   }
   request_schedule();
@@ -954,14 +820,11 @@ void ClusterSim::emit_counters() {
   // constructor); the plain-int fields are folded in here so the snapshot
   // event carries the complete counter set.
   auto snap = metrics_.snapshot();
-  snap["sim.tasks_done"] = stats_.tasks_done;
   snap["sim.tasks_unfinished"] = stats_.tasks_unfinished;
   snap["sim.max_worker_source_inflight"] = stats_.max_worker_source_inflight;
   snap["sim.worker_crashes"] = stats_.worker_crashes;
   snap["sim.worker_rejoins"] = stats_.worker_rejoins;
   snap["sim.faults_injected"] = stats_.faults_injected;
-  snap["sim.transfer_failures"] = stats_.transfer_failures;
-  snap["sim.recoveries"] = stats_.recoveries;
   if (config_.factory.enabled) {
     snap["sim.factory_spawned"] = stats_.factory_spawned;
     snap["sim.factory_retired"] = stats_.factory_retired;

@@ -135,44 +135,30 @@ struct SimTask {
   std::string pin_worker;   ///< optional placement pin
 };
 
-/// Aggregate counters for the bench summaries. The scheduling counters
-/// (sched_passes, tasks_scanned, cache_hits, prefetch hits/issued,
-/// recoveries, replica repairs) come from the control core.
+/// Aggregate counters for the bench summaries. Scheduling, task and
+/// transfer counts come from the control core (ControlStats; its
+/// mini_tasks_run are the sim's unpacks); these are the sim's own.
 struct SimStats : vine::control::ControlStats {
+  // ---- the url fetches split by origin, and retrievals (Figure 13a) ----
   std::int64_t transfers_from_archive = 0;
   std::int64_t transfers_from_sharedfs = 0;
-  std::int64_t transfers_from_manager = 0;
-  std::int64_t transfers_from_peers = 0;
-  std::int64_t unpacks = 0;
   std::int64_t retrievals_to_manager = 0;
   std::int64_t bytes_from_archive = 0;
   std::int64_t bytes_from_sharedfs = 0;
-  std::int64_t bytes_from_manager = 0;
-  std::int64_t bytes_from_peers = 0;
   std::int64_t bytes_to_manager = 0;
-  int tasks_done = 0;
   int tasks_unfinished = 0;
-
-  // ---- lookahead input prefetch (sched.prefetch_* counters) ----
-  std::int64_t transfers_prefetch = 0;  ///< completed prefetch transfers
-  std::int64_t bytes_prefetch = 0;      ///< bytes moved by completed prefetches
-  std::int64_t prefetch_cancelled = 0;  ///< cancelled (stale prediction)
-  std::int64_t prefetch_wasted_bytes = 0;  ///< bytes moved by cancelled prefetches
 
   /// Highest concurrent transfer count observed from any worker source —
   /// must never exceed the configured worker_source_limit in supervised
   /// mode (invariant checked by the property tests).
   int max_worker_source_inflight = 0;
 
-  // ---- fault injection & recovery (apply_fault_plan / fail_worker) ----
+  // ---- fault injection (apply_fault_plan / fail_worker) ----
   int worker_crashes = 0;     ///< fail_worker teardowns executed
   int worker_rejoins = 0;     ///< crashed workers that came back
   int faults_injected = 0;    ///< fault-plan events that found a target
-  int transfer_failures = 0;  ///< fetches that failed (injected or crash)
 
-  // ---- redundancy & elasticity (advance only when the knobs are on) ----
-  std::int64_t replications = 0;        ///< completed replication transfers
-  std::int64_t replication_bytes = 0;   ///< bytes moved by completed replications
+  // ---- elasticity (advance only when the factory is on) ----
   int factory_spawned = 0;  ///< workers the elastic factory brought up
   int factory_retired = 0;  ///< idle factory workers gracefully retired
 };
@@ -308,9 +294,8 @@ class ClusterSim : private vine::control::Host {
   void request_schedule();
   /// Feed the factory one pass worth of signals and execute its verdict.
   void evaluate_factory(double now);
-  /// Gracefully retire one provably idle, fully replicated factory worker;
-  /// false when no candidate qualifies.
-  bool retire_idle_worker(double now);
+  /// Gracefully retire a worker the core found retirable.
+  void retire_worker(const std::string& id, double now);
   void enqueue_fetch(PendingFetch fetch);
   void start_next_fetches(const std::string& worker);
   void start_fetch(PendingFetch fetch);
@@ -322,9 +307,9 @@ class ClusterSim : private vine::control::Host {
   /// scheduled and runs fetch_failed.
   void fail_inflight(const std::string& uuid);
   void fetch_complete(const PendingFetch& fetch);
-  /// A fetch died: release the transfer record and the pending replica,
-  /// score the source, free the destination's transfer slot, and schedule
-  /// a retry pass when the source's backoff window closes.
+  /// A fetch died: report it to the core (transfer_closed), free the
+  /// destination's transfer slot, and schedule a retry pass when the
+  /// source's backoff window closes.
   void fetch_failed(const PendingFetch& fetch);
   // ---- fault-plan handlers ----
   PendingFetch* pick_peer_victim();

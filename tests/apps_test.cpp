@@ -24,7 +24,7 @@ TEST(BlastApp, HotCacheBeatsColdAndSkipsArchive) {
   EXPECT_GT(cold.makespan, hot.makespan);
   EXPECT_GT(cold.sim->stats().transfers_from_archive, 0);
   EXPECT_EQ(hot.sim->stats().transfers_from_archive, 0);
-  EXPECT_EQ(hot.sim->stats().unpacks, 0);
+  EXPECT_EQ(hot.sim->stats().mini_tasks_run, 0);
 }
 
 TEST(BlastApp, ColdRunUnpacksOncePerWorkerPerAsset) {
@@ -34,8 +34,8 @@ TEST(BlastApp, ColdRunUnpacksOncePerWorkerPerAsset) {
   auto cold = run_blast(p, false);
   // Two assets (software + database), each unpacked once per worker that
   // ran tasks; never more than 2 * workers.
-  EXPECT_LE(cold.sim->stats().unpacks, 2 * p.workers);
-  EXPECT_GE(cold.sim->stats().unpacks, 2);
+  EXPECT_LE(cold.sim->stats().mini_tasks_run, 2 * p.workers);
+  EXPECT_GE(cold.sim->stats().mini_tasks_run, 2);
 }
 
 TEST(BlastApp, DeterministicForSeed) {
@@ -54,7 +54,7 @@ TEST(EnvPkgApp, SharingBeatsIndependentUnpacking) {
   auto independent = run_envpkg(p, false);
   auto shared = run_envpkg(p, true);
   EXPECT_GT(independent.makespan, shared.makespan * 1.2);
-  EXPECT_LE(shared.sim->stats().unpacks, p.workers);
+  EXPECT_LE(shared.sim->stats().mini_tasks_run, p.workers);
   EXPECT_EQ(shared.sim->stats().tasks_unfinished, 0);
 }
 
@@ -128,7 +128,7 @@ TEST(BgdApp, ServerlessPaysInitOncePerWorker) {
   p.workers = 20;
   auto serverless = run_bgd(p, true);
   EXPECT_EQ(serverless.sim->stats().tasks_done, p.function_calls);
-  EXPECT_EQ(serverless.sim->stats().unpacks, p.workers);  // env once/worker
+  EXPECT_EQ(serverless.sim->stats().mini_tasks_run, p.workers);  // env once/worker
   EXPECT_EQ(serverless.sim->stats().tasks_unfinished, 0);
 }
 

@@ -84,12 +84,8 @@ struct Fixture {
   explicit Fixture(SchedulerConfig sched = {})
       : core(host, stats, sched, /*seed=*/1, redundancy::RedundancyConfig{}) {}
 
-  /// Host-side completion of a dispatched task.
-  void finish(TaskId id) {
-    TaskEntry& t = *core.task(id);
-    core.release(t);
-    core.set_state(t, TaskState::done);
-  }
+  /// A dispatched task finishes with no outputs recorded.
+  void finish(TaskId id) { core.task_done(*core.task(id), TaskState::done, {}, 0); }
 
   FakeHost host;
   ControlStats stats;
@@ -175,7 +171,7 @@ TEST(ControlCore, PrefetchForDoneConsumerIsCancelled) {
   f.core.worker_joined(worker("w1", 4));
   FileRef t = temp_file("T", 1, /*bytes=*/1000);
   FileRef x = buffer_file("X", 10);
-  f.core.replicas().set_replica("X", "w1", ReplicaState::present, 10);
+  f.core.object_announced("w1", {"X", 10});
 
   // The producer lands on w0, so the consumer is predicted there (T's
   // 1000 expected bytes outweigh X's 10) and X is prefetched w1 -> w0.
@@ -196,6 +192,54 @@ TEST(ControlCore, PrefetchForDoneConsumerIsCancelled) {
   EXPECT_EQ(f.host.cancelled.size(), 1u);
 }
 
+// Drift: the runtime factory took queue depth as outstanding tasks minus
+// running_tasks, and a placed library instance counts in running_tasks, so
+// each instance hid one queued FunctionCall (here: 1 - 1 = 0, and the
+// factory saw no queue). The core counts the unplaced ready tasks.
+TEST(ControlCore, PlacedLibraryDoesNotHideQueuedCallFromFactory) {
+  Fixture f;
+  f.core.worker_joined(worker("w0", 4));
+  TaskSpec lib = task(1, {}, {}, "w0");
+  lib.kind = TaskKind::library;
+  lib.library_name = "L";
+  f.core.submit(lib, "library");
+  TaskSpec call = task(2, {}, {});
+  call.kind = TaskKind::function_call;
+  call.library_name = "L";
+  f.core.submit(call, "function_call");
+  f.core.schedule_pass();  // the instance is placed; the call waits for it
+  ASSERT_EQ(f.host.dispatched, (std::vector<TaskId>{1}));
+
+  const factory::FactorySignals s = f.core.factory_signals(0);
+  EXPECT_EQ(s.running_tasks, 1);
+  EXPECT_EQ(s.ready_tasks, 1);
+  EXPECT_EQ(s.busy_cores, 1);
+  EXPECT_EQ(s.total_cores, 4);
+
+  // Once the instance is up the call is placed: nothing is queued.
+  f.core.library_ready("w0", 1, "L");
+  f.core.schedule_pass();
+  EXPECT_EQ(f.host.dispatched, (std::vector<TaskId>{1, 2}));
+  EXPECT_EQ(f.core.factory_signals(0).ready_tasks, 0);
+}
+
+// Retirement takes only idle factory workers, and never a batch that would
+// take an object's last copy: fw1 and fw2 hold the only two copies of X.
+TEST(ControlCore, RetirementKeepsALastCopy) {
+  Fixture f;
+  for (const char* id : {"w0", "fw1", "fw2", "fw3"}) f.core.worker_joined(worker(id, 1));
+  f.core.object_announced("fw1", {"X", 10});
+  f.core.object_announced("fw2", {"X", 10});
+  f.core.object_announced("w0", {"Y", 10});
+  f.core.object_announced("fw3", {"Y", 10});
+  EXPECT_EQ(f.core.retirable(4), (std::vector<WorkerId>{"fw1", "fw3"}));
+  EXPECT_EQ(f.core.retirable(1), (std::vector<WorkerId>{"fw1"}));
+
+  f.core.submit(task(1, {}, {}, "fw3"), "t");
+  f.core.schedule_pass();  // fw3 is busy now
+  EXPECT_EQ(f.core.retirable(4), (std::vector<WorkerId>{"fw1"}));
+}
+
 // Worker loss swap-pops the dense snapshot vector; afterwards the slot map
 // is a bijection, the ready set mirrors TaskState::ready, and Σ available
 // cores matches the surviving snapshots.
@@ -211,7 +255,7 @@ TEST(ControlCore, AuditCleanAfterSwapPop) {
   f.core.submit(task(4, {}, {}, "w0"), "t");
   f.core.schedule_pass();
   ASSERT_EQ(f.host.dispatched.size(), 4u);
-  f.core.replicas().set_replica("cached", "w0", ReplicaState::present, 5);
+  f.core.object_announced("w0", {"cached", 5});
 
   const auto purge = f.core.purge_worker("w0", "worker_lost");
   EXPECT_EQ(purge.lost, (std::vector<std::string>{"cached"}));

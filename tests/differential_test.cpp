@@ -13,7 +13,9 @@
 //   task 2 @ w1:  temp input T1 (peer transfer w0 -> w1) -> source "worker"
 //                 temp output T2
 // Timestamps, uuids, cache-object naming, and event interleavings are free
-// to differ between the halves; everything asserted here must not.
+// to differ between the halves; everything asserted here must not. Both
+// halves count through the same control core, so its ControlStats must
+// agree too.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -78,6 +80,7 @@ TEST(Differential, SameDagAgreesAcrossRuntimeAndSim) {
       obs::TraceSinkOptions{.retain_events = true, .jsonl_path = ""});
 
   std::map<std::string, std::string> runtime_names;
+  control::ControlStats rt_stats;
   {
     LocalClusterConfig cc;
     cc.workers = 2;
@@ -115,6 +118,7 @@ TEST(Differential, SameDagAgreesAcrossRuntimeAndSim) {
     runtime_names[(*u)->cache_name] = "U";
     runtime_names[b->cache_name] = "B";
     runtime_names[t1->cache_name] = "T1";
+    rt_stats = m.stats();
     (*cluster)->shutdown();
   }
   TraceDigest rt = digest(sink->events(), runtime_names);
@@ -173,6 +177,19 @@ TEST(Differential, SameDagAgreesAcrossRuntimeAndSim) {
   // Idle passes are counted, never traced.
   EXPECT_EQ(rt.empty_passes, 0);
   EXPECT_EQ(sim.empty_passes, 0);
+
+  // The same counts on both halves: U (64 B) from the url and B (32 B) from
+  // the manager, T1 (96 B) from a peer, two tasks done, nothing failed.
+  auto counts = [](const control::ControlStats& s) {
+    return std::vector<std::int64_t>{s.transfers_from_url,     s.bytes_from_url,
+                                     s.transfers_from_manager, s.bytes_from_manager,
+                                     s.transfers_from_peers,   s.bytes_from_peers,
+                                     s.tasks_done,             s.transfer_failures};
+  };
+  EXPECT_EQ(counts(rt_stats), counts(cs.stats()));
+  EXPECT_EQ(counts(cs.stats()),
+            (std::vector<std::int64_t>{1, kUrlBytes, 1, kBufBytes, 1,
+                                       kUrlBytes + kBufBytes, 2, 0}));
 }
 
 // ---------------------------------------------------- generated workloads ----

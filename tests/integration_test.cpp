@@ -4,6 +4,8 @@
 // peer transfers, mini-tasks, temp files, retries, and serverless calls.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "archive/vpak.hpp"
 #include "core/taskvine.hpp"
 #include "fsutil/fsutil.hpp"
@@ -284,6 +286,43 @@ TEST(Integration, TaskLevelInputsAreUnlinked) {
   }
   EXPECT_FALSE(w.cache().contains(query->cache_name));
   EXPECT_EQ(m.replicas().present_count(query->cache_name), 0);
+}
+
+// The elastic factory on the runtime: with no hysteresis or cooldown, a
+// queue deeper than the one-core pool makes factory_pass() spawn an "fw"
+// worker, which registers with the manager and takes queued work. Once the
+// queue has drained, the idle spawn (it holds no object) retires.
+TEST(Integration, FactoryPassSpawnsWorkerThatRegisters) {
+  LocalClusterConfig cc;
+  cc.workers = 1;
+  cc.per_worker = {.cores = 1, .memory_mb = 1000, .disk_mb = 1000, .gpus = 0};
+  cc.factory.enabled = true;
+  cc.factory.hysteresis = 1;
+  cc.factory.cooldown_s = 0;
+  cc.factory.max_workers = 2;
+  auto cluster = LocalCluster::create(std::move(cc));
+  ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  Manager& m = (*cluster)->manager();
+
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(m.submit(TaskBuilder("sleep 0.2").build()).ok());
+  }
+  m.poll(0ms);  // one pass: a task runs on w0, five wait for a core
+  EXPECT_EQ((*cluster)->factory_pass(), 1);
+  ASSERT_EQ((*cluster)->worker_count(), 2u);
+  ASSERT_TRUE(m.wait_for_workers(2, kWait).ok());
+
+  std::set<std::string> ran_on;
+  for (const auto& [_, r] : drain(m)) {
+    EXPECT_TRUE(r.ok()) << r.error_message;
+    ran_on.insert(r.worker_id);
+  }
+  EXPECT_EQ(ran_on, (std::set<std::string>{"w0", "fw0"}));
+
+  EXPECT_EQ((*cluster)->factory_pass(), -1);
+  EXPECT_FALSE((*cluster)->worker_alive(1));
+  for (int i = 0; i < 100 && m.worker_count() > 1; ++i) m.poll(20ms);
+  EXPECT_EQ(m.worker_count(), 1);
 }
 
 TEST(Integration, FailedTaskRetriesThenReports) {

@@ -430,5 +430,17 @@ TEST(ObsViews, CountersViewMergesTalliesAndSnapshot) {
   EXPECT_EQ(cv.at("sim.tasks_done"), 7);
 }
 
+// Every kind has a tally slot, the last enumerators included.
+TEST(ObsViews, CountersViewTalliesEveryKind) {
+  ViewBuilder vb;
+  vb.apply(Event::make_replica_repair(0.0, "w0", "f"));
+  vb.apply(Event::make_factory_scale(1.0, "up:1 pool:2"));
+  vb.apply(Event::make_factory_scale(2.0, "down:1 pool:1"));
+
+  auto cv = vb.counters_view();
+  EXPECT_EQ(cv.at("events.replica_repair"), 1);
+  EXPECT_EQ(cv.at("events.factory_scale"), 2);
+}
+
 }  // namespace
 }  // namespace vine::obs

@@ -439,7 +439,7 @@ TEST(ClusterSim, UnpackRunsOncePerWorker) {
     t->inputs.push_back(tree);
   }
   cs.run();
-  EXPECT_EQ(cs.stats().unpacks, 1);
+  EXPECT_EQ(cs.stats().mini_tasks_run, 1);
   EXPECT_EQ(cs.stats().tasks_done, 4);
 }
 
@@ -553,6 +553,59 @@ TEST(ClusterSim, WorkerSourceLimitCapsConcurrentServing) {
   EXPECT_EQ(cs.stats().tasks_done, kWorkers - 1);
   EXPECT_EQ(cs.stats().transfers_from_archive, 0);
   EXPECT_EQ(cs.stats().transfers_from_peers, kWorkers - 1);
+}
+
+// The elastic factory in the simulator, with no hysteresis or cooldown: a
+// queue deeper than the pool spawns an "fw" worker, and once the queue has
+// drained that worker, idle and holding only objects replicated elsewhere
+// (k = 2), retires through the graceful path: its cache is evicted with
+// reason "retired" and no producer re-runs.
+TEST(ClusterSim, FactorySpawnsForDeepQueueAndRetiresIdleReplicatedWorker) {
+  SimConfig cfg = fast_config();
+  cfg.factory.enabled = true;
+  cfg.factory.hysteresis = 1;
+  cfg.factory.cooldown_s = 0;
+  cfg.factory.min_workers = 1;
+  cfg.factory.max_workers = 2;
+  cfg.factory_worker_cores = 1;
+  cfg.redundancy.enabled = true;
+  cfg.trace = std::make_shared<vine::obs::TraceSink>(
+      vine::obs::TraceSinkOptions{.retain_events = true, .jsonl_path = ""});
+  ClusterSim cs(cfg);
+  cs.add_worker("w0", 0, 1);
+  auto* in = cs.declare_file("in", 1000, SimFile::Origin::manager);
+  for (int i = 0; i < 6; ++i) {
+    auto* t = cs.add_task("t", 1.0);
+    t->inputs.push_back(in);
+    t->outputs.push_back(
+        {cs.declare_file("out" + std::to_string(i), 0, SimFile::Origin::temp), 100});
+  }
+  cs.run();
+  EXPECT_EQ(cs.stats().tasks_done, 6);
+  EXPECT_EQ(cs.stats().tasks_unfinished, 0);
+  EXPECT_EQ(cs.stats().factory_spawned, 1);
+  EXPECT_EQ(cs.stats().factory_retired, 1);
+  EXPECT_EQ(cs.stats().recoveries, 0);
+
+  int fw_tasks = 0, retired_evicts = 0;
+  bool retired = false;
+  for (const auto& ev : cfg.trace->events()) {
+    using vine::obs::EventKind;
+    if (ev.kind == EventKind::task_state && ev.state == "done" && ev.worker == "fw1") {
+      ++fw_tasks;
+    }
+    if (ev.kind == EventKind::cache_evict && ev.worker == "fw1") {
+      EXPECT_EQ(ev.detail, "retired") << ev.file;
+      ++retired_evicts;
+    }
+    if (ev.kind == EventKind::worker_lost && ev.worker == "fw1") {
+      EXPECT_EQ(ev.detail, "retired");
+      retired = true;
+    }
+  }
+  EXPECT_GT(fw_tasks, 0);  // the spawned worker took queued work
+  EXPECT_GT(retired_evicts, 0);
+  EXPECT_TRUE(retired);
 }
 
 }  // namespace

@@ -13,23 +13,16 @@
 # transfer-heavy figure replications at paper scale (fig11_transfer_methods,
 # fig13_topeft_storage --workers 500). Writes BENCH_sched.json,
 # BENCH_sim.json, BENCH_obs.json, BENCH_net.json, BENCH_naming.json and
-# BENCH_redundancy.json at the repo root: items/sec (or seconds) per row next
-# to the frozen pre-refactor baseline, with the speedup factor (the obs and
-# net suites gate on absolute budgets and floors instead).
+# BENCH_redundancy.json at the repo root: items/sec (or seconds) per row,
+# with the absolute floor, ceiling or budget a gated row must hold.
 #
 # Usage:
 #   tools/bench.sh           # full run (benchmark_min_time=0.2 per case)
 #   tools/bench.sh --smoke   # CI smoke: one iteration per case, still
 #                            # exercising every benchmark end to end
 #
-# The baseline constants were measured on the pre-refactor code (BASELINE
-# in the sched block: the commit before the interned-token catalog;
-# BASELINE_SIM: the commit before the incremental flow engine / tombstone-
-# free event core) on the same machine class the full run targets;
-# regenerate them only when intentionally re-baselining: git checkout
-# <pre-refactor-sha>, run this script, and transplant the "current"
-# numbers into the matching BASELINE table below. The micro_net gates are
-# absolute floors (NET_FLOORS), not ratios.
+# Every gate is an absolute threshold on a live benchmark, or a ratio of
+# two live benchmarks; none compares against code that no longer exists.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -60,33 +53,18 @@ fi
 SMOKE="$SMOKE" python3 - "$RAW" <<'PYEOF'
 import json, os, sys
 
-# items/sec on the pre-indexing scheduler (O(W x I) catalog probing,
-# per-call allocation in plan_source / workers_with).
-BASELINE = {
-    "BM_ReplicaTableUpdate": 1989739.78,
-    "BM_ReplicaTableLookup": 4680151.67,
-    "BM_TransferTableCycle": 2065400.42,
-    "BM_PickWorker/10": 2341917.55,
-    "BM_PickWorker/100": 263594.68,
-    "BM_PickWorker/500": 50657.04,
-    "BM_PickWorker/2000": 9263.81,
-    "BM_PlanSource": 769180.41,
-    "BM_TaskWireRoundTrip": 66035.76,
-}
+# Absolute floor on the indexed pick at 2000 workers, in items/s: 5x the
+# 9,263.81 items/s the pre-indexing O(W x I) scheduler measured. Full runs
+# only, like the ratio gate it replaces.
+PICK_FLOOR = ("BM_PickWorker/2000", 5 * 9263.81)
 
 raw = json.load(open(sys.argv[1]))
-rows = {}
-for b in raw["benchmarks"]:
-    name = b["name"]
-    ips = b.get("items_per_second")
-    if ips is None:
-        continue
-    base = BASELINE.get(name)
-    rows[name] = {
-        "baseline_items_per_second": base,
-        "items_per_second": round(ips, 2),
-        "speedup": round(ips / base, 2) if base else None,
-    }
+ips = {b["name"]: b["items_per_second"] for b in raw["benchmarks"]
+       if "items_per_second" in b}
+rows = {name: {"items_per_second": round(v, 2)} for name, v in ips.items()}
+name, floor = PICK_FLOOR
+if name in rows:
+    rows[name]["floor"] = round(floor, 2)
 
 out = {
     "suite": "micro_sched",
@@ -98,13 +76,13 @@ with open("BENCH_sched.json", "w") as f:
     json.dump(out, f, indent=2)
     f.write("\n")
 
-for name, r in rows.items():
-    s = f' ({r["speedup"]}x)' if r["speedup"] else ""
-    print(f'{name}: {r["items_per_second"]:.0f} items/s{s}')
+for n, r in rows.items():
+    s = f' (floor {r["floor"]:.0f})' if "floor" in r else ""
+    print(f'{n}: {r["items_per_second"]:.0f} items/s{s}')
 
-key = rows.get("BM_PickWorker/2000")
-if key and not out["smoke"] and key["speedup"] is not None and key["speedup"] < 5.0:
-    sys.exit(f'FAIL: BM_PickWorker/2000 speedup {key["speedup"]}x < 5x target')
+# Compared unrounded, so the floor is never looser than the threshold.
+if not out["smoke"] and name in ips and ips[name] < floor:
+    sys.exit(f'FAIL: {name} {ips[name]:.0f} items/s < floor {floor:.2f}')
 
 # Lookahead gate: one full scheduling pass with consumer gravity + prefetch
 # planning (2000 workers, deep fan-in DAG) must stay within 2x the greedy
@@ -154,51 +132,35 @@ SMOKE="$SMOKE" FIG11_SECS="$FIG11_SECS" FIG13_SECS="$FIG13_SECS" \
 python3 - "$RAW_SIM" <<'PYEOF'
 import json, os, sys
 
-# items/sec on the pre-refactor flow engine (global O(F) rebalance sweep
-# per flow start/end over a std::map, cancel-tombstone event heap).
-BASELINE_SIM = {
-    "BM_EventChurn/1024": 8296800.0,
-    "BM_EventChurn/65536": 4999200.0,
-    "BM_FlowChurn/16": 88345.3,
-    "BM_FlowChurn/256": 4065.67,
-    "BM_FlowChurn/2000": 168.615,
-    "BM_HotspotFanout/100": 110.001,
-    "BM_HotspotFanout/500": 6970.24,
-}
+# Absolute floor on flow churn at 2000 concurrent flows, in items/s: 10x
+# the 168.615 items/s of the flow engine that rebalanced every flow on each
+# start/end. It holds by two orders of magnitude even at smoke iteration
+# counts, so CI enforces it on every run.
+FLOW_FLOOR = ("BM_FlowChurn/2000", 10 * 168.615)
 
-# Wall-clock seconds of the figure replications on the same baseline.
-# fig13 gained a third (lookahead) simulation run in PR 8; its pre-PR-8
-# baseline of 24.69 s covered two runs, so the comparable figure for the
-# three-run binary is 24.69 / 2 * 3 (the gate tracks engine speed, not
-# the number of scenarios the binary replicates).
-BASELINE_FIGS = {
+# Wall-clock ceilings of the figure replications, in seconds (full runs
+# only: stable wall-clock needs a quiet machine). fig13 runs three
+# scenarios; its ceiling is 24.69 s / 2 * 3 from the two-scenario era.
+FIG_CEILINGS = {
     "fig11_transfer_methods": 0.46,
     "fig13_topeft_storage --workers 500": 37.04,
 }
 
 raw = json.load(open(sys.argv[1]))
-rows = {}
-for b in raw["benchmarks"]:
-    name = b["name"]
-    ips = b.get("items_per_second")
-    if ips is None:
-        continue
-    base = BASELINE_SIM.get(name)
-    rows[name] = {
-        "baseline_items_per_second": base,
-        "items_per_second": round(ips, 2),
-        "speedup": round(ips / base, 2) if base else None,
-    }
+ips = {b["name"]: b["items_per_second"] for b in raw["benchmarks"]
+       if "items_per_second" in b}
+rows = {name: {"items_per_second": round(v, 2)} for name, v in ips.items()}
+name, floor = FLOW_FLOOR
+if name in rows:
+    rows[name]["floor"] = round(floor, 2)
 
 figs = {}
 for key, env in (("fig11_transfer_methods", "FIG11_SECS"),
                  ("fig13_topeft_storage --workers 500", "FIG13_SECS")):
     secs = os.environ.get(env) or None
-    base = BASELINE_FIGS[key]
     figs[key] = {
-        "baseline_seconds": base,
         "seconds": float(secs) if secs else None,
-        "speedup": round(base / float(secs), 2) if secs else None,
+        "ceiling_seconds": FIG_CEILINGS[key],
     }
 
 out = {
@@ -212,25 +174,20 @@ with open("BENCH_sim.json", "w") as f:
     json.dump(out, f, indent=2)
     f.write("\n")
 
-for name, r in rows.items():
-    s = f' ({r["speedup"]}x)' if r["speedup"] else ""
-    print(f'{name}: {r["items_per_second"]:.0f} items/s{s}')
-for name, r in figs.items():
+for n, r in rows.items():
+    s = f' (floor {r["floor"]:.0f})' if "floor" in r else ""
+    print(f'{n}: {r["items_per_second"]:.0f} items/s{s}')
+for n, r in figs.items():
     if r["seconds"] is not None:
-        print(f'{name}: {r["seconds"]}s wall (baseline {r["baseline_seconds"]}s,'
-              f' {r["speedup"]}x)')
+        print(f'{n}: {r["seconds"]}s wall (ceiling {r["ceiling_seconds"]}s)')
 
-# The micro gate holds even at smoke iteration counts (current speedup is
-# two orders of magnitude past the bar), so CI enforces it on every run;
-# the wall-clock figure gates need a quiet machine and stay full-run-only.
-key = rows.get("BM_FlowChurn/2000")
-if key and key["speedup"] is not None and key["speedup"] < 10.0:
-    sys.exit(f'FAIL: BM_FlowChurn/2000 speedup {key["speedup"]}x < 10x target')
+if name in ips and ips[name] < floor:
+    sys.exit(f'FAIL: {name} {ips[name]:.0f} items/s < floor {floor:.2f}')
 if not out["smoke"]:
-    for name, r in figs.items():
-        if r["seconds"] is not None and r["seconds"] >= r["baseline_seconds"]:
-            sys.exit(f'FAIL: {name} wall {r["seconds"]}s >= baseline '
-                     f'{r["baseline_seconds"]}s')
+    for n, r in figs.items():
+        if r["seconds"] is not None and r["seconds"] >= r["ceiling_seconds"]:
+            sys.exit(f'FAIL: {n} wall {r["seconds"]}s >= ceiling '
+                     f'{r["ceiling_seconds"]}s')
 print("wrote BENCH_sim.json")
 PYEOF
 

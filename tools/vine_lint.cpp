@@ -24,8 +24,12 @@
 //                    owner and race teardown — every thread must be joined
 //   control-fork     a definition of schedule_pass, build_dag_view,
 //                    issue_prefetches, cancel_stale_prefetches,
-//                    issue_replications or recover_lost_* outside control/;
-//                    the scheduling pass exists once, in control::Core
+//                    issue_replications, recover_lost_*, or of a host-report
+//                    entry point (transfer_closed, task_done,
+//                    object_announced, object_dropped, library_ready,
+//                    workflow_ended) or factory_signals / retirable outside
+//                    control/; the pass and its bookkeeping exist once, in
+//                    control::Core
 //
 // Findings can be vetted via an allowlist file where every entry carries a
 // justification (see tools/vine_lint_allowlist.txt). Exit status is nonzero
@@ -430,19 +434,22 @@ void scan_file(const fs::path& file, const std::string& rel,
     }
 
     // control-fork: Manager and ClusterSim once each carried a copy of the
-    // scheduling pass, and the copies drifted apart unseen. The pass, the
-    // lookahead and replication issue, and lost-temp recovery are defined
-    // once, in control::Core; hosts only call them.
+    // scheduling pass and of its bookkeeping, and the copies drifted apart
+    // unseen. The pass, the lookahead and replication issue, lost-temp
+    // recovery, the accounting of what hosts report and the factory's
+    // signals are defined once, in control::Core; hosts only call them.
     if (!is_control) {
       for (const char* fn : {"schedule_pass", "build_dag_view", "issue_prefetches",
                              "cancel_stale_prefetches", "issue_replications",
-                             "recover_lost_"}) {
+                             "recover_lost_", "transfer_closed", "task_done",
+                             "object_announced", "object_dropped", "library_ready",
+                             "workflow_ended", "factory_signals", "retirable"}) {
         if (defines_function(c, fn)) {
           add(i, "control-fork",
               std::string(fn) +
                   (fn[std::string(fn).size() - 1] == '_' ? "*" : "") +
-                  " defined outside control/; the scheduling pass lives in "
-                  "control::Core");
+                  " defined outside control/; the scheduling pass and its "
+                  "bookkeeping live in control::Core");
           break;
         }
       }
