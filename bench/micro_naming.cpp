@@ -1,7 +1,7 @@
 // Micro-benchmarks — cache-name generation costs (paper §3.2 notes "there
-// is some expense to producing such names"): MD5/SHA-1 throughput,
-// directory-document hashing, task-spec Merkle hashing, URL naming tiers,
-// and vpak archive codec throughput.
+// is some expense to producing such names"): MD5/SHA-1 throughput, the
+// XXH64 data-plane checksum, directory-document hashing, task-spec Merkle
+// hashing, URL naming tiers, and vpak archive codec throughput.
 #include <benchmark/benchmark.h>
 
 #include "archive/vpak.hpp"
@@ -10,6 +10,7 @@
 #include "hash/dirhash.hpp"
 #include "hash/md5.hpp"
 #include "hash/sha1.hpp"
+#include "hash/xxh64.hpp"
 #include "task/task_hash.hpp"
 
 namespace {
@@ -25,6 +26,18 @@ void BM_Md5Throughput(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Md5Throughput)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 22);
+
+// The data plane's integrity checksum (peer attestation, receive check,
+// cache memo): every transferred byte passes through it once per hop.
+void BM_Xxh64Throughput(benchmark::State& state) {
+  std::string data(static_cast<std::size_t>(state.range(0)), 'x');
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Xxh64::hash(data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Xxh64Throughput)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 22);
 
 void BM_Sha1Throughput(benchmark::State& state) {
   std::string data(static_cast<std::size_t>(state.range(0)), 'x');

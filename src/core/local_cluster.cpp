@@ -82,6 +82,9 @@ Result<std::size_t> LocalCluster::add_worker() {
 void LocalCluster::retire_worker(std::size_t i) {
   auto& w = workers_.at(i);
   if (!w) return;
+  // The manager hears of the retirement first, so it is traced as one;
+  // the disconnect that follows finds the connection already gone.
+  manager_->retire_worker(worker_configs_.at(i).id);
   w->stop();
   w.reset();
   // Storage stays on disk (contrast crash_worker): retirement is graceful,

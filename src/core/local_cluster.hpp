@@ -81,10 +81,11 @@ class LocalCluster {
   /// Returns its index (usable with worker()/retire_worker()).
   Result<std::size_t> add_worker();
 
-  /// Gracefully stop worker i: its threads exit and the connection drops,
-  /// but — unlike crash_worker — its storage directory survives. Callers
-  /// (factory_pass) retire only idle, fully replicated workers, so the
-  /// manager-side disconnect triggers no recovery.
+  /// Gracefully stop worker i: the manager retires it (traced as
+  /// worker_lost "retired"), then its threads exit and the connection
+  /// drops, but — unlike crash_worker — its storage directory survives.
+  /// Callers (factory_pass) retire only idle, fully replicated workers, so
+  /// the retirement triggers no recovery. Call on the pumping thread.
   void retire_worker(std::size_t i);
 
   /// Feed the factory the manager's signals (control::Core::factory_signals)

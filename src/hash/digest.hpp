@@ -1,4 +1,5 @@
-// Convenience digests over files and streams, used by cache-name generation.
+// Convenience digests over files and streams. MD5 gives cache names
+// (naming only); XXH64 is the data plane's integrity checksum.
 #pragma once
 
 #include <filesystem>
@@ -15,6 +16,13 @@ Result<std::string> md5_file(const std::filesystem::path& path);
 
 /// MD5 of a string buffer as lowercase hex.
 std::string md5_buffer(std::string_view data);
+
+/// XXH64 (seed 0) of a whole file's contents as 16 lowercase hex digits,
+/// streamed in 64 KiB chunks like md5_file.
+Result<std::string> xxh64_file(const std::filesystem::path& path);
+
+/// XXH64 (seed 0) of a string buffer as 16 lowercase hex digits.
+std::string xxh64_buffer(std::string_view data);
 
 /// SHA-1 of a string buffer as lowercase hex.
 std::string sha1_buffer(std::string_view data);

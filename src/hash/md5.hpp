@@ -1,6 +1,9 @@
-// MD5 implemented from scratch (RFC 1321). TaskVine uses MD5 to derive
-// content-addressable cache names for files (paper §3.2). MD5 is used here
-// for *naming*, matching the paper, not for security.
+// MD5 implemented from scratch (RFC 1321). Naming only: TaskVine uses MD5
+// to derive content-addressable cache names for files (paper §3.2), and an
+// "md5-" object is checked against its name before it is served. It is not
+// used for security, nor for the data plane's in-flight integrity checks,
+// which use the much cheaper XXH64 (hash/xxh64.hpp). The vpak archive
+// format keeps an MD5 trailer of its own.
 #pragma once
 
 #include <array>

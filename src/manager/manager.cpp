@@ -493,7 +493,7 @@ void Manager::evict_silent_workers() {
   }
   for (const std::string& conn_id : overdue) {
     ++stats_.workers_evicted;
-    handle_worker_lost(conn_id, /*evicted=*/true);
+    handle_worker_lost(conn_id, Departure::evicted);
   }
 }
 
@@ -708,7 +708,13 @@ void Manager::handle_library_ready(const WorkerId& worker,
                 worker.c_str());
 }
 
-void Manager::handle_worker_lost(const std::string& conn_id, bool evicted) {
+void Manager::retire_worker(const WorkerId& id) {
+  auto reg = workers_.find(id);
+  if (reg == workers_.end()) return;
+  handle_worker_lost(reg->second.conn_id, Departure::retired);
+}
+
+void Manager::handle_worker_lost(const std::string& conn_id, Departure how) {
   std::unique_ptr<Connection> conn;
   {
     MutexLock lock(conn_mutex_);
@@ -726,24 +732,31 @@ void Manager::handle_worker_lost(const std::string& conn_id, bool evicted) {
   auto reg = workers_.find(worker);
   if (reg == workers_.end() || reg->second.conn_id != conn_id) return;
 
-  ++stats_.workers_lost;
-  VINE_LOG_WARN("manager", "worker %s disconnected", worker.c_str());
+  const bool retired = how == Departure::retired;
+  const char* reason = retired ? "retired" : "worker_lost";
+  if (retired) {
+    VINE_LOG_INFO("manager", "worker %s retired", worker.c_str());
+  } else {
+    ++stats_.workers_lost;
+    VINE_LOG_WARN("manager", "worker %s disconnected", worker.c_str());
+  }
   // Replicas die with the worker, then the transfers they abort; the
   // closing membership event goes last so begin/end pairing stays exact.
-  control::Core::Purge purge = core_.purge_worker(worker, "worker_lost");
+  control::Core::Purge purge = core_.purge_worker(worker, reason);
   for (const control::DroppedTransfer& d : purge.dropped) {
     const TransferRecord& rec = d.record;
     emit(obs::Event::make_transfer_end(
         clock_.now(), rec.cache_name, control::transfer_label(d.kind, rec.source.kind),
         source_key_of(rec.source), rec.dest, rec.dest, -1, rec.uuid,
-        /*ok=*/false, "worker_lost"));
+        /*ok=*/false, reason));
   }
   workers_.erase(worker);
   core_.recover_after_loss(worker, purge.lost);
-  if (evicted) {
+  if (how == Departure::evicted) {
     emit(obs::Event::make_worker_evicted(clock_.now(), worker, "heartbeat"));
   } else {
-    emit(obs::Event::make_worker_lost(clock_.now(), worker, "disconnect"));
+    emit(obs::Event::make_worker_lost(clock_.now(), worker,
+                                      retired ? "retired" : "disconnect"));
   }
   maybe_audit("manager.worker_lost");
 }

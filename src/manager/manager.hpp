@@ -191,6 +191,12 @@ class Manager : private control::Host {
   /// Shut down all workers and stop the manager.
   void shutdown();
 
+  /// Graceful removal of worker `id` (the elastic factory's retirement):
+  /// the worker-loss teardown with the replica drops and the trace saying
+  /// "retired". Call on the pumping thread, before stopping the worker;
+  /// its later disconnect is then ignored. No-op for an unknown id.
+  void retire_worker(const WorkerId& id);
+
   const ManagerStats& stats() const { return stats_; }
   /// The control core, read-only: the elastic factory's signals and
   /// retirement candidates come from here.
@@ -243,9 +249,12 @@ class Manager : private control::Host {
   void handle_cache_update(const WorkerId& worker, const proto::CacheUpdateMsg& msg);
   void handle_task_done(const WorkerId& worker, const proto::TaskDoneMsg& msg);
   void handle_library_ready(const WorkerId& worker, const proto::LibraryReadyMsg& msg);
-  /// `evicted` marks heartbeat-deadline expulsions so the trace records
-  /// worker_evicted rather than worker_lost for them.
-  void handle_worker_lost(const std::string& conn_id, bool evicted = false);
+  /// How a worker left: its connection dropped, the heartbeat deadline
+  /// expelled it (traced as worker_evicted), or the factory retired it
+  /// (traced as worker_lost "retired", like the simulator).
+  enum class Departure { disconnect, evicted, retired };
+  void handle_worker_lost(const std::string& conn_id,
+                          Departure how = Departure::disconnect);
   /// Tear down workers whose last frame is older than the heartbeat
   /// deadline; each goes through the full handle_worker_lost path.
   void evict_silent_workers();

@@ -302,7 +302,7 @@ struct Encoder {
     o["ok"] = m.ok;
     o["is_dir"] = m.is_dir;
     o["error"] = m.error;
-    o["digest"] = m.digest;
+    o["xxh64"] = m.checksum;
     return Value(std::move(o));
   }
   Value operator()(const HeartbeatMsg&) const {
@@ -445,7 +445,7 @@ Result<AnyMessage> decode(const json::Value& v) {
     m.ok = v.get_bool("ok");
     m.is_dir = v.get_bool("is_dir");
     m.error = v.get_string("error");
-    m.digest = v.get_string("digest");
+    m.checksum = v.get_string("xxh64");
     return AnyMessage(std::move(m));
   }
   return Error{Errc::protocol_error, "unknown message type: " + type};

@@ -25,7 +25,10 @@
 //
 // Peer transfer channel (worker <-> worker, also used by manager fetches):
 //   get            request an object by cache name
-//   obj            response header (blob frame follows when ok)
+//   obj            response header (blob frame follows when ok); an ok
+//                  obj attests the blob's XXH64 under "xxh64" (the key
+//                  that replaced the MD5 "digest" — a peer still sending
+//                  "digest" is refused, not accepted unchecked)
 #pragma once
 
 #include <optional>
@@ -207,11 +210,12 @@ struct ObjMsg {  // followed by a blob frame when ok
   bool is_dir = false;  ///< blob is a vpak archive of the directory
   std::string error;
 
-  /// Content digest (hex md5) of the blob that follows, computed by the
-  /// serving worker. Receivers verify the payload against it before caching,
-  /// turning in-flight corruption into a retryable transfer failure instead
-  /// of a silently poisoned cache. Empty = sender did not attest.
-  std::string digest;
+  /// XXH64 checksum (16 hex digits, wire key "xxh64") of the blob that
+  /// follows, computed by the serving worker. Receivers verify the payload
+  /// against it before caching, turning in-flight corruption into a
+  /// retryable transfer failure instead of a silently poisoned cache. Every
+  /// ok obj carries one; a receiver refuses an ok obj without it.
+  std::string checksum;
 };
 
 // ----------------------------------------------------------- envelope

@@ -134,16 +134,16 @@ Status CacheStore::validate_name(const std::string& name) const {
 }
 
 Status CacheStore::put_bytes(const std::string& name, std::string_view bytes,
-                             CacheLevel level, std::string digest) {
+                             CacheLevel level, std::string checksum) {
   VINE_TRY_STATUS(validate_name(name));
-  // The bytes are already in memory: hashing now (outside the lock) spares
-  // the first zero-copy serve a full re-read of the object.
-  if (digest.empty()) digest = md5_buffer(bytes);
+  // The bytes are already in memory: checksumming now (outside the lock)
+  // spares the first zero-copy serve a full re-read of the object.
+  if (checksum.empty()) checksum = xxh64_buffer(bytes);
   MutexLock lock(mutex_);
   VINE_TRY_STATUS(make_room(static_cast<std::int64_t>(bytes.size())));
   VINE_TRY_STATUS(write_file_atomic(path_of(name), bytes));
   entries_[name] = {level, static_cast<std::int64_t>(bytes.size()), false,
-                    ++access_tick_, false, std::move(digest)};
+                    ++access_tick_, false, std::move(checksum)};
   trace_insert(name, static_cast<std::int64_t>(bytes.size()), "store");
   return Status::success();
 }
@@ -230,15 +230,26 @@ Result<CacheEntry> CacheStore::entry(const std::string& name) const {
   return it->second;
 }
 
-Status CacheStore::verify_object(const std::string& name) const {
-  VINE_TRY(CacheEntry e, entry(name));
-  if (e.is_dir || name.rfind("md5-", 0) != 0) return Status::success();
-  VINE_TRY(std::string digest, md5_file(path_of(name)));
+namespace {
+
+/// The never-serve-corrupt check: a "md5-" file must still hash (MD5) to
+/// its name. Other names carry no content digest and pass.
+Status check_content_name(const std::string& name, const fs::path& path) {
+  if (name.rfind("md5-", 0) != 0) return Status::success();
+  VINE_TRY(std::string digest, md5_file(path));
   if ("md5-" + digest != name) {
     return Error{Errc::io_error, "cached object " + name +
                                      " is corrupt: content digest is " + digest};
   }
   return Status::success();
+}
+
+}  // namespace
+
+Status CacheStore::verify_object(const std::string& name) const {
+  VINE_TRY(CacheEntry e, entry(name));
+  if (e.is_dir) return Status::success();
+  return check_content_name(name, path_of(name));
 }
 
 Result<std::pair<std::string, bool>> CacheStore::read_for_transfer(
@@ -274,26 +285,25 @@ Result<ServeInfo> CacheStore::serve_info(const std::string& name, bool attest) {
       return ServeInfo{path_of(name), it->second.size, true, {}};
     }
     const bool content_named = name.rfind("md5-", 0) == 0;
-    if (!it->second.digest.empty() || (!attest && !content_named)) {
+    if (!it->second.checksum.empty() || (!attest && !content_named)) {
       return ServeInfo{path_of(name), it->second.size, false,
-                       it->second.digest};
+                       it->second.checksum};
     }
     path = path_of(name);
   }
-  // First hash of this object: outside the lock (reads every byte).
-  VINE_TRY(std::string digest, md5_file(path));
-  if (name.rfind("md5-", 0) == 0 && "md5-" + digest != name) {
-    return Error{Errc::io_error, "cached object " + name +
-                                     " is corrupt: content digest is " + digest};
-  }
+  // First read of this object: outside the lock (reads every byte). A
+  // content-named object is checked against its name first, so a corrupt
+  // one is never memoized as good.
+  VINE_TRY_STATUS(check_content_name(name, path));
+  VINE_TRY(std::string checksum, xxh64_file(path));
   MutexLock lock(mutex_);
   auto it = entries_.find(name);
   if (it == entries_.end()) {
-    // Evicted while we were hashing; the serve loses the race.
+    // Evicted while we were reading; the serve loses the race.
     return Error{Errc::not_found, "not cached: " + name};
   }
-  if (it->second.digest.empty()) it->second.digest = digest;
-  return ServeInfo{path, it->second.size, false, it->second.digest};
+  if (it->second.checksum.empty()) it->second.checksum = checksum;
+  return ServeInfo{path, it->second.size, false, it->second.checksum};
 }
 
 Status CacheStore::remove_object(const std::string& name) {
@@ -344,9 +354,8 @@ void CacheStore::audit(AuditReport& report, bool verify_digests) const {
                  "entry " + name + " records " + std::to_string(e.size) +
                      "B but on disk holds " +
                      std::to_string(size.ok() ? *size : -1) + "B");
-    if (verify_digests && !e.is_dir && name.rfind("md5-", 0) == 0) {
-      auto digest = md5_file(path);
-      report.check(digest.ok() && "md5-" + *digest == name, kSub,
+    if (verify_digests && !e.is_dir) {
+      report.check(check_content_name(name, path).ok(), kSub,
                    "entry " + name + " fails content-digest verification");
     }
   }

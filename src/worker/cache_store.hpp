@@ -36,11 +36,12 @@ struct CacheEntry {
   /// worker-lifetime hot cache. First object_path access (a task links the
   /// input, or a peer pulls it) promotes the entry to a normal one.
   bool prefetch = false;
-  /// Memoized md5 hex of the file content; empty until first computed
+  /// Memoized XXH64 checksum (16 hex digits) of the file content: the
+  /// data plane's integrity check, not a name. Empty until first computed
   /// (put_bytes records it while the data is in memory, everything else
   /// lazily on the first attested serve). Directories never carry one —
-  /// their transfer digest covers the packed archive, not the tree.
-  std::string digest;
+  /// their transfer checksum covers the packed archive, not the tree.
+  std::string checksum;
   /// Redundancy replica: the manager pinned this object because it may be
   /// the invariant-holding copy of a temp. Capacity pressure must never
   /// evict it (both victim scans skip pinned entries); only an explicit
@@ -54,7 +55,7 @@ struct ServeInfo {
   std::filesystem::path path;
   std::int64_t size = 0;
   bool is_dir = false;
-  std::string digest;  ///< md5 hex of file content; empty for directories
+  std::string checksum;  ///< XXH64 hex of file content; empty for directories
 };
 
 class CacheStore {
@@ -76,11 +77,12 @@ class CacheStore {
   void set_trace(std::shared_ptr<obs::TraceSink> sink, const Clock* clock,
                  std::string emitter, std::string worker);
 
-  /// Store literal bytes under `name`. `digest` is the md5 hex of `bytes`
-  /// when the caller already computed it (a peer fetch checks the sender's
-  /// attestation before storing); empty means hash the bytes here.
+  /// Store literal bytes under `name`. `checksum` is the XXH64 hex of
+  /// `bytes` when the caller already computed it (a peer fetch checks the
+  /// sender's attestation before storing); empty means checksum the bytes
+  /// here.
   Status put_bytes(const std::string& name, std::string_view bytes,
-                   CacheLevel level, std::string digest = {});
+                   CacheLevel level, std::string checksum = {});
 
   /// Store a directory tree delivered as a vpak archive.
   Status put_archive(const std::string& name, std::string_view archive_bytes,
@@ -102,16 +104,17 @@ class CacheStore {
   /// directory -> vpak archive (is_dir tells the receiver which).
   Result<std::pair<std::string, bool>> read_for_transfer(const std::string& name) const;
 
-  /// Path + size (+ digest) for serving a file object straight off disk
-  /// (sendfile zero-copy). With `attest`, the caller ships the digest (a
+  /// Path + size (+ checksum) for serving a file object straight off disk
+  /// (sendfile zero-copy). With `attest`, the caller ships the checksum (a
   /// peer serve): it is computed on the first such serve (outside the lock
   /// — it reads every byte) and memoized in the entry. Without it (the
-  /// manager fetch path, whose reply carries no digest), only content-named
-  /// objects are hashed. Either way a "md5-" object is verified against its
-  /// name before its first serve, preserving read_for_transfer's
-  /// never-serve-corrupt guarantee; other objects come back with whatever
-  /// digest is already memoized. Directories return is_dir=true with no
-  /// digest: the caller must fall back to read_for_transfer's archive path.
+  /// manager fetch path, whose reply carries no checksum), only
+  /// content-named objects are read. Either way a "md5-" object without a
+  /// memo is verified against its name (MD5) before its first serve,
+  /// preserving read_for_transfer's never-serve-corrupt guarantee, and its
+  /// checksum is memoized; other objects come back with whatever checksum
+  /// is already memoized. Directories return is_dir=true with no checksum:
+  /// the caller must fall back to read_for_transfer's archive path.
   Result<ServeInfo> serve_info(const std::string& name, bool attest);
 
   /// Tag a present object as prefetch-staged (see CacheEntry::prefetch).

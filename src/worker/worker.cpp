@@ -376,6 +376,10 @@ Status Worker::fetch_from_peer(const proto::FetchMsg& msg) {
       auto& obj = std::get<proto::ObjMsg>(*decoded);
       if (!obj.ok) {
         stored = Error{Errc::not_found, "peer miss: " + obj.error};
+      } else if (obj.checksum.empty()) {
+        // Every serve attests; an unattested object (or a sender speaking
+        // an older protocol) is refused before its blob is read.
+        stored = Error{Errc::protocol_error, "peer obj carries no checksum"};
       } else {
         auto blob = (*peer)->recv(io);
         if (!blob.ok() || blob->kind != Frame::Kind::blob) {
@@ -385,17 +389,16 @@ Status Worker::fetch_from_peer(const proto::FetchMsg& msg) {
         } else {
           // The sender attested the content; a mismatch means the bytes
           // were damaged in flight. Fail the transfer instead of caching
-          // poisoned data. A verified digest goes into the cache entry, so
-          // the received bytes are hashed exactly once.
-          std::string digest =
-              obj.digest.empty() ? std::string() : md5_buffer(blob->data);
-          if (digest != obj.digest) {
-            stored = Error{Errc::io_error, "peer blob digest mismatch"};
+          // poisoned data. A verified checksum goes into the cache entry,
+          // so the received bytes are checksummed exactly once.
+          std::string checksum = xxh64_buffer(blob->data);
+          if (checksum != obj.checksum) {
+            stored = Error{Errc::io_error, "peer blob checksum mismatch"};
           } else if (obj.is_dir) {
             stored = cache_->put_archive(msg.cache_name, blob->data, msg.level);
           } else {
             stored = cache_->put_bytes(msg.cache_name, blob->data, msg.level,
-                                       std::move(digest));
+                                       std::move(checksum));
           }
         }
       }
@@ -779,7 +782,7 @@ void Worker::serve_get(Endpoint& peer, const proto::GetMsg& get) {
   const bool corrupt =
       !stall && flt && faults::WorkerFaults::take(flt->corrupt_peer_blobs);
 
-  // Files go zero-copy: attest the memoized digest and let the reactor
+  // Files go zero-copy: attest the memoized checksum and let the reactor
   // sendfile the object straight off disk. Directories (archived on the
   // fly) and corruption injections (must flip a byte in transit) still
   // stage the bytes in memory.
@@ -787,7 +790,7 @@ void Worker::serve_get(Endpoint& peer, const proto::GetMsg& get) {
   const bool zero_copy = !info->is_dir && !corrupt;
   if (zero_copy) {
     obj.is_dir = false;
-    obj.digest = info->digest;
+    obj.checksum = info->checksum;
   } else {
     auto data = cache_->read_for_transfer(get.cache_name);
     if (!data.ok()) {
@@ -799,10 +802,10 @@ void Worker::serve_get(Endpoint& peer, const proto::GetMsg& get) {
     staged = std::move(data->first);
     obj.is_dir = data->second;
     // Attest the content so the receiver can reject in-flight corruption.
-    obj.digest = md5_buffer(staged);
+    obj.checksum = xxh64_buffer(staged);
     if (corrupt) {
       // Injected frame corruption: flip a byte after attesting the honest
-      // digest, so the receiver's verification catches it.
+      // checksum, so the receiver's verification catches it.
       flt->injected.fetch_add(1);
       if (!staged.empty()) staged[staged.size() / 2] ^= 0x40;
     }

@@ -1,15 +1,18 @@
-// Unit tests for src/hash: MD5 / SHA-1 against RFC vectors, hex codec, and
+// Unit tests for src/hash: MD5 / SHA-1 against RFC vectors, XXH64 against
+// the xxHash specification's vectors, hex codec, and
 // the Merkle directory naming from paper §3.2 / Figure 7.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <unordered_set>
 
 #include "hash/digest.hpp"
 #include "hash/dirhash.hpp"
 #include "hash/hex.hpp"
 #include "hash/md5.hpp"
 #include "hash/sha1.hpp"
+#include "hash/xxh64.hpp"
 
 namespace vine {
 namespace {
@@ -142,6 +145,94 @@ TEST(Sha1, IncrementalMatchesOneShot) {
   auto d = h.finish();
   EXPECT_EQ(to_hex(std::span<const std::uint8_t>(d.data(), d.size())),
             Sha1::hex(data));
+}
+
+// ---------------------------------------------------------------- XXH64
+
+// The published seed-0 vectors of the xxHash specification.
+TEST(Xxh64, PublishedVectors) {
+  EXPECT_EQ(xxh64_buffer(""), "ef46db3751d8e999");
+  EXPECT_EQ(xxh64_buffer("a"), "d24ec4f1a98c6e5b");
+  EXPECT_EQ(xxh64_buffer("abc"), "44bc2cf5ad770999");
+  EXPECT_EQ(Xxh64::hash(""), 0xef46db3751d8e999ULL);
+}
+
+TEST(Xxh64, IncrementalSplitsAroundStripeBoundaries) {
+  const std::string data = pseudo_random_bytes(1000, 3);
+  const std::uint64_t whole = Xxh64::hash(data);
+  // Every split point, then three-way splits that leave a partial stripe
+  // buffered across two updates.
+  for (std::size_t cut = 0; cut <= data.size(); ++cut) {
+    Xxh64 h;
+    h.update(std::string_view(data).substr(0, cut));
+    EXPECT_EQ(h.digest(), Xxh64::hash(std::string_view(data).substr(0, cut)))
+        << "digest() of a prefix of " << cut;
+    h.update(std::string_view(data).substr(cut));
+    ASSERT_EQ(h.digest(), whole) << "split at " << cut;
+  }
+  for (std::size_t a = 1; a < 40; ++a) {
+    Xxh64 h;
+    h.update(std::string_view(data).substr(0, a));
+    h.update(std::string_view(data).substr(a, 5));
+    h.update(std::string_view(data).substr(a + 5));
+    ASSERT_EQ(h.digest(), whole) << "splits at " << a << " and " << a + 5;
+  }
+  Xxh64 reused(7);
+  reused.update(data);
+  reused.reset();
+  reused.update(std::string_view(data).substr(0, 10));
+  reused.update(std::string_view{});  // an empty view may carry no pointer
+  reused.update(std::string_view(data).substr(10));
+  EXPECT_EQ(reused.digest(), whole);
+}
+
+TEST(Xxh64, StreamedFileMatchesOneShot) {
+  const auto dir = fs::temp_directory_path() / "vine_xxh64_file_test";
+  fs::create_directories(dir);
+  // Around the 32-byte stripe and the 64 KiB read chunk, and one
+  // 2 MB size that is a multiple of neither.
+  for (std::size_t size : {std::size_t{0}, std::size_t{1}, std::size_t{31},
+                           std::size_t{32}, std::size_t{33}, std::size_t{65535},
+                           std::size_t{65536}, std::size_t{65537},
+                           std::size_t{2000003}}) {
+    const std::string content = pseudo_random_bytes(size, 5);
+    auto file = dir / ("f" + std::to_string(size));
+    std::ofstream(file, std::ios::binary)
+        .write(content.data(), static_cast<std::streamsize>(content.size()));
+    auto h = xxh64_file(file);
+    ASSERT_TRUE(h.ok()) << h.error().to_string();
+    EXPECT_EQ(*h, xxh64_buffer(content)) << "size " << size;
+    EXPECT_EQ(h->size(), 16u);
+  }
+  auto missing = xxh64_file(dir / "missing");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.error().code, Errc::io_error);
+  fs::remove_all(dir);
+}
+
+// The checksum's job is to catch damage in flight: no single-bit flip may
+// go unseen, in a page-sized buffer or in any short one (which takes the
+// tail-only path with no stripes).
+TEST(Xxh64, EverySingleBitFlipChangesTheChecksum) {
+  auto all_flips_seen = [](std::string data) {
+    const std::uint64_t clean = Xxh64::hash(data);
+    std::unordered_set<std::uint64_t> seen{clean};
+    for (std::size_t bit = 0; bit < data.size() * 8; ++bit) {
+      data[bit / 8] ^= static_cast<char>(1 << (bit % 8));
+      const std::uint64_t flipped = Xxh64::hash(data);
+      data[bit / 8] ^= static_cast<char>(1 << (bit % 8));
+      if (!seen.insert(flipped).second) {
+        ADD_FAILURE() << "flip of bit " << bit << " of " << data.size()
+                      << " bytes collides";
+        return;
+      }
+    }
+  };
+  all_flips_seen(pseudo_random_bytes(4096, 9));
+  all_flips_seen(std::string(4096, '\0'));
+  for (std::size_t n = 0; n <= 64; ++n) {
+    all_flips_seen(pseudo_random_bytes(n, 13 + static_cast<std::uint32_t>(n)));
+  }
 }
 
 // ---------------------------------------------------------------- hex

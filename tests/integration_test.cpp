@@ -10,6 +10,7 @@
 #include "core/taskvine.hpp"
 #include "fsutil/fsutil.hpp"
 #include "hash/digest.hpp"
+#include "obs/trace_sink.hpp"
 
 namespace vine {
 namespace {
@@ -291,9 +292,14 @@ TEST(Integration, TaskLevelInputsAreUnlinked) {
 // The elastic factory on the runtime: with no hysteresis or cooldown, a
 // queue deeper than the one-core pool makes factory_pass() spawn an "fw"
 // worker, which registers with the manager and takes queued work. Once the
-// queue has drained, the idle spawn (it holds no object) retires.
+// queue has drained, the idle spawn (it holds no object) retires, and the
+// trace says so as the simulator's does: worker_lost "retired", not a
+// disconnect.
 TEST(Integration, FactoryPassSpawnsWorkerThatRegisters) {
+  auto sink = std::make_shared<obs::TraceSink>(
+      obs::TraceSinkOptions{.retain_events = true, .jsonl_path = ""});
   LocalClusterConfig cc;
+  cc.trace = sink;
   cc.workers = 1;
   cc.per_worker = {.cores = 1, .memory_mb = 1000, .disk_mb = 1000, .gpus = 0};
   cc.factory.enabled = true;
@@ -323,6 +329,15 @@ TEST(Integration, FactoryPassSpawnsWorkerThatRegisters) {
   EXPECT_FALSE((*cluster)->worker_alive(1));
   for (int i = 0; i < 100 && m.worker_count() > 1; ++i) m.poll(20ms);
   EXPECT_EQ(m.worker_count(), 1);
+  // Let the stopped worker's disconnect reach the manager too.
+  for (int i = 0; i < 5; ++i) m.poll(20ms);
+  std::vector<std::string> fw0_departures;
+  for (const obs::Event& e : sink->events()) {
+    if (e.kind == obs::EventKind::worker_lost && e.worker == "fw0") {
+      fw0_departures.push_back(e.detail);
+    }
+  }
+  EXPECT_EQ(fw0_departures, std::vector<std::string>{"retired"});
 }
 
 TEST(Integration, FailedTaskRetriesThenReports) {

@@ -179,14 +179,16 @@ TEST(Proto, ObjDigestRoundTrip) {
   ObjMsg msg;
   msg.cache_name = "md5-q";
   msg.ok = true;
-  msg.digest = "9e107d9d372bb6826bd81d3542a419d6";
+  msg.checksum = "44bc2cf5ad770999";
   auto obj = round_trip(msg);
-  EXPECT_EQ(obj.digest, "9e107d9d372bb6826bd81d3542a419d6");
+  EXPECT_EQ(obj.checksum, "44bc2cf5ad770999");
 
-  // Digest is optional: an empty one must survive the trip as empty
-  // (old senders that don't attest stay compatible).
+  // The checksum rides under "xxh64"; the MD5-era "digest" key is gone.
+  const json::Value wire = encode(AnyMessage(msg));
+  EXPECT_EQ(wire.get_string("xxh64"), "44bc2cf5ad770999");
+  EXPECT_EQ(wire.find("digest"), nullptr);
   auto bare = round_trip(ObjMsg{"md5-q", true, false, ""});
-  EXPECT_TRUE(bare.digest.empty());
+  EXPECT_TRUE(bare.checksum.empty());
 }
 
 TEST(Proto, ControlMessages) {

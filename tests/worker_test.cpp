@@ -3,8 +3,10 @@
 // one Worker behind a real Manager.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -12,6 +14,7 @@
 #include "core/taskvine.hpp"
 #include "fsutil/fsutil.hpp"
 #include "hash/digest.hpp"
+#include "net/tcp.hpp"
 #include "worker/builtins.hpp"
 #include "worker/cache_store.hpp"
 #include "worker/executor.hpp"
@@ -48,17 +51,17 @@ TEST_F(CacheStoreTest, PutBytesRecordsDigest) {
   CacheStore cache(tmp_.path() / "cache");
   const std::string bytes = "peer-verified";
   ASSERT_TRUE(cache.put_bytes("rnd-own", bytes, CacheLevel::workflow).ok());
-  EXPECT_EQ(cache.entry("rnd-own")->digest, md5_buffer(bytes));
-  // A supplied digest is the caller's verified hash of these bytes: the
-  // store records it as given instead of hashing a second time (a sentinel
-  // that is not the real digest proves no second pass ran).
-  const std::string sentinel(32, '0');
+  EXPECT_EQ(cache.entry("rnd-own")->checksum, xxh64_buffer(bytes));
+  // A supplied checksum is the caller's verified checksum of these bytes:
+  // the store records it as given instead of reading them a second time (a
+  // sentinel that is not the real checksum proves no second pass ran).
+  const std::string sentinel(16, '0');
   ASSERT_TRUE(
       cache.put_bytes("rnd-given", bytes, CacheLevel::workflow, sentinel).ok());
-  EXPECT_EQ(cache.entry("rnd-given")->digest, sentinel);
+  EXPECT_EQ(cache.entry("rnd-given")->checksum, sentinel);
   auto info = cache.serve_info("rnd-given", /*attest=*/true);
   ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info->digest, sentinel);
+  EXPECT_EQ(info->checksum, sentinel);
   EXPECT_EQ(info->size, static_cast<std::int64_t>(bytes.size()));
 }
 
@@ -69,24 +72,24 @@ TEST_F(CacheStoreTest, ServeInfoHashesOnlyWhatItChecksOrAttests) {
     EXPECT_TRUE(write_file_atomic(src, content).ok());
     return src;
   };
-  // Adopted task outputs carry no digest until something needs one.
+  // Adopted task outputs carry no checksum until something needs one.
   ASSERT_TRUE(cache.adopt("task-out", produce("o", "output"),
                           CacheLevel::workflow).ok());
   auto plain = cache.serve_info("task-out", /*attest=*/false);
   ASSERT_TRUE(plain.ok());
-  EXPECT_TRUE(plain->digest.empty());
-  EXPECT_TRUE(cache.entry("task-out")->digest.empty());
+  EXPECT_TRUE(plain->checksum.empty());
+  EXPECT_TRUE(cache.entry("task-out")->checksum.empty());
   auto attested = cache.serve_info("task-out", /*attest=*/true);
   ASSERT_TRUE(attested.ok());
-  EXPECT_EQ(attested->digest, md5_buffer("output"));
-  EXPECT_EQ(cache.entry("task-out")->digest, md5_buffer("output"));
+  EXPECT_EQ(attested->checksum, xxh64_buffer("output"));
+  EXPECT_EQ(cache.entry("task-out")->checksum, xxh64_buffer("output"));
 
   // A content-named object is checked against its name on either path.
   const std::string good = "md5-" + md5_buffer("content");
   ASSERT_TRUE(cache.adopt(good, produce("g", "content"), CacheLevel::workflow).ok());
   auto checked = cache.serve_info(good, /*attest=*/false);
   ASSERT_TRUE(checked.ok());
-  EXPECT_EQ(checked->digest, md5_buffer("content"));
+  EXPECT_EQ(checked->checksum, xxh64_buffer("content"));
   const std::string bad = "md5-" + md5_buffer("expected");
   ASSERT_TRUE(cache.adopt(bad, produce("b", "damaged"), CacheLevel::workflow).ok());
   auto rejected = cache.serve_info(bad, /*attest=*/false);
@@ -607,14 +610,14 @@ TEST(DataPlaneDigest, PeerFetchStoresTheAttestedDigest) {
   f.start();
   if (::testing::Test::HasFatalFailure()) return;
   f.consume_on_w1();
-  // The sender memoized the digest it attested; the receiver stored the
-  // digest it verified the blob against instead of hashing it again.
-  const std::string attested = f.entry_on(0).digest;
-  EXPECT_EQ(attested, md5_buffer("payload"));
-  EXPECT_EQ(f.entry_on(1).digest, attested);
+  // The sender memoized the checksum it attested; the receiver stored the
+  // checksum it verified the blob against instead of reading it again.
+  const std::string attested = f.entry_on(0).checksum;
+  EXPECT_EQ(attested, xxh64_buffer("payload"));
+  EXPECT_EQ(f.entry_on(1).checksum, attested);
   auto stored = f.cluster->worker(1).cache().object_path(f.file->cache_name);
   ASSERT_TRUE(stored.ok());
-  EXPECT_EQ(md5_file(*stored).value(), attested);
+  EXPECT_EQ(xxh64_file(*stored).value(), attested);
 }
 
 TEST(DataPlaneDigest, ManagerFetchOfTaskOutputSkipsTheHash) {
@@ -624,12 +627,79 @@ TEST(DataPlaneDigest, ManagerFetchOfTaskOutputSkipsTheHash) {
   auto content = f.cluster->manager().fetch_file(f.file, 20000ms);
   ASSERT_TRUE(content.ok()) << content.error().to_string();
   EXPECT_EQ(*content, "payload");
-  // The send_file reply carries no digest, so none was computed.
-  EXPECT_TRUE(f.entry_on(0).digest.empty());
-  // A later peer serve still hashes the object and attests it correctly.
+  // The send_file reply carries no checksum, so none was computed.
+  EXPECT_TRUE(f.entry_on(0).checksum.empty());
+  // A later peer serve still checksums the object and attests it correctly.
   f.consume_on_w1();
-  EXPECT_EQ(f.entry_on(0).digest, md5_buffer("payload"));
-  EXPECT_EQ(f.entry_on(1).digest, md5_buffer("payload"));
+  EXPECT_EQ(f.entry_on(0).checksum, xxh64_buffer("payload"));
+  EXPECT_EQ(f.entry_on(1).checksum, xxh64_buffer("payload"));
+}
+
+// Every serve attests its blob, so an ok obj with no checksum (what a peer
+// still sending the MD5-era "digest" key decodes to) is a protocol error:
+// the worker refuses the blob, retries like any failed transfer, and
+// reports the fetch as failed instead of caching unchecked bytes.
+TEST(DataPlaneDigest, UnattestedPeerObjIsRefusedAsAFailedTransfer) {
+  auto control_port = tcp_listen(0);
+  auto peer_port = tcp_listen(0);
+  ASSERT_TRUE(control_port.ok() && peer_port.ok());
+  TempDir root("vine_unattested");
+  WorkerConfig wc;
+  wc.id = "w-unattested";
+  wc.manager_addr = (*control_port)->address();
+  wc.root_dir = root.path();
+  wc.tcp_transfer_service = true;
+  wc.heartbeat_interval_ms = 0;
+  wc.fetch_retries = 1;
+  wc.fetch_backoff_ms = 1;
+  auto worker = Worker::connect(std::move(wc));
+  ASSERT_TRUE(worker.ok()) << worker.error().to_string();
+  auto control = (*control_port)->accept(5000ms);
+  ASSERT_TRUE(control.ok()) << control.error().to_string();
+  (*worker)->start();
+
+  // The fake peer answers each GET with an unattested ok obj and an
+  // intact blob, then waits for the worker to hang up.
+  std::atomic<int> gets{0};
+  std::thread peer([&] {
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      auto conn = (*peer_port)->accept(5000ms);
+      if (!conn.ok()) return;
+      if (!(*conn)->recv(5000ms).ok()) return;
+      gets.fetch_add(1);
+      proto::ObjMsg obj;
+      obj.cache_name = "rnd-unattested";
+      obj.ok = true;
+      (void)(*conn)->send_json(proto::encode(obj));
+      (void)(*conn)->send_blob("rnd-unattested", "payload");
+      (void)(*conn)->recv(5000ms);
+    }
+  });
+
+  proto::FetchMsg fetch;
+  fetch.transfer_id = "x1";
+  fetch.cache_name = "rnd-unattested";
+  fetch.source = TransferSource::from_worker("fake-peer");
+  fetch.source_addr = (*peer_port)->address();
+  ASSERT_TRUE((*control)->send_json(proto::encode(fetch)).ok());
+
+  std::optional<proto::CacheUpdateMsg> update;
+  while (!update) {
+    auto frame = (*control)->recv(10000ms);
+    ASSERT_TRUE(frame.ok()) << frame.error().to_string();
+    if (frame->kind != Frame::Kind::json) continue;
+    auto msg = proto::decode(frame->msg);
+    if (msg.ok() && std::holds_alternative<proto::CacheUpdateMsg>(*msg)) {
+      update = std::get<proto::CacheUpdateMsg>(*msg);
+    }
+  }
+  peer.join();
+  EXPECT_EQ(update->transfer_id, "x1");
+  EXPECT_FALSE(update->ok);
+  EXPECT_NE(update->error.find("checksum"), std::string::npos) << update->error;
+  EXPECT_EQ(gets.load(), 2);  // the first attempt and its one retry
+  EXPECT_FALSE((*worker)->cache().contains("rnd-unattested"));
+  (*worker)->stop();
 }
 
 }  // namespace
